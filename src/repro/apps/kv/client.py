@@ -6,13 +6,14 @@ bindings for request/response, or stream sockets when the caller wants
 the streaming transport (SCAN always uses sockets).  All connections
 share a single VMMC endpoint, like a real process would.
 
-Failover: every operation walks the key's replica set in ring order.
-A typed ``VmmcTimeoutError``/``VmmcError`` from a connection (only
-possible under an armed fault plan, where the hardened libraries bound
-every wait) marks that connection dead and the operation retries on
-the next replica — the degraded mode the tentpole requires to be
-deterministically testable.  A request that exhausts the replica set
-returns ``ST_ERROR`` rather than raising, so a worker keeps serving.
+Failover: every operation walks the key's replica set in ring order
+through one loop, :meth:`KVClient._walk`.  A typed
+``VmmcTimeoutError``/``VmmcError`` from a connection (only possible
+under an armed fault plan, where the hardened libraries bound every
+wait) strikes that connection dead and the walk moves on to the next
+replica.  Point ops stop at the first answer, quorum reads and writes
+at the R-th or W-th; a request that exhausts the replica set returns
+``ST_ERROR`` rather than raising, so a worker keeps serving.
 
 Hot-key mitigation (docs/WORKLOADS.md "Mitigation knobs"):
 
@@ -54,7 +55,7 @@ from .replication.versions import (
     unpack_version,
     wins,
 )
-from .server import KvBatchClient, KvShardClient, KvVerClient
+from .server import shard_interface
 from .service import region_name
 
 __all__ = ["KVClient", "KvRejectedError"]
@@ -66,8 +67,9 @@ class KVClient:
     Routing: keys map to their replica set via the service's
     ``HashRing``; point ops go over SHRIMP RPC (or sockets), scans
     stream over sockets, and a failed node is struck from the
-    connection table and the next replica tried (``failovers`` counts
-    these).
+    connection table and the next replica tried.  ``failovers`` counts
+    every strike, plus one per request a walk served only after
+    skipping a connection already struck.
 
     Hot-key mitigations, all off by default:
 
@@ -110,7 +112,7 @@ class KVClient:
         self.client_id = client_id
         self.track = "n%d.kv.client%d" % (proc.node.node_id, client_id)
         self.endpoint = attach(self.system, proc)
-        self.rpc: Dict[int, KvShardClient] = {}
+        self.rpc: Dict[int, object] = {}
         self.socks: Dict[int, object] = {}
         self.dead: Set[Tuple[str, int]] = set()
         self._sbuf = proc.space.mmap(4096)
@@ -203,12 +205,7 @@ class KVClient:
         every binding agree on the interface version and frame layout.
         """
         if self.transport == "srpc":
-            if self.versioned:
-                client_cls = KvVerClient
-            elif self.service.batch:
-                client_cls = KvBatchClient
-            else:
-                client_cls = KvShardClient
+            client_cls, _server_cls = shard_interface(self.service)
             for node in self.service.nodes:
                 client = client_cls(self.system, self.proc,
                                     endpoint=self.endpoint,
@@ -354,11 +351,8 @@ class KVClient:
             for i in fetch:
                 key = keys[i]
                 epochs[i] = self._wepoch.get(key, 0)
-                node = None
-                for cand in self._candidates(wire.OP_GET, key):
-                    if ("rpc", cand) not in self.dead:
-                        node = cand
-                        break
+                node = next((n for n in self._candidates(wire.OP_GET, key)
+                             if ("rpc", n) not in self.dead), None)
                 groups.setdefault(node, []).append(i)
             for node, indices in groups.items():
                 if node is None:
@@ -371,13 +365,10 @@ class KVClient:
                     chunk = indices[lo:lo + wire.MULTI_GET_MAX]
                     blob = wire.encode_multi_get_request(
                         [keys[i] for i in chunk])
-                    entries = None
-                    try:
-                        resp = yield from self.rpc[node].multi_get(blob)
-                        entries = wire.decode_multi_get_response(resp)
-                    except (VmmcTimeoutError, VmmcError):
-                        self.dead.add(("rpc", node))
-                        self.failovers += 1
+                    resp = yield from self._call(
+                        "rpc", node, self.rpc[node].multi_get(blob))
+                    entries = (None if resp is _DOWN
+                               else wire.decode_multi_get_response(resp))
                     if entries is None or len(entries) != len(chunk):
                         for i in chunk:  # per-key replica walk, dead skipped
                             results[i] = yield from self.get(keys[i])
@@ -424,85 +415,58 @@ class KVClient:
             if status == wire.ST_OK:
                 self._cache_put(key, value, epoch)
             return ("ready", status, value)
-        if not self._pipelined():
-            return ("lazy", wire.OP_GET, key, b"")
-        self.ops += 1
-        start = self.sim_now()
-        root = self._root_begin()
-        epoch = self._wepoch.get(key, 0)
-        try:
-            for node in self._candidates(wire.OP_GET, key):
-                if ("rpc", node) in self.dead:
-                    continue
-                try:
-                    ticket = yield from self.rpc[node].get_begin(key)
-                except (VmmcTimeoutError, VmmcError):
-                    self.dead.add(("rpc", node))
-                    self.failovers += 1
-                    continue
-                return ("rpc", "get", start, node, ticket, key, b"", epoch,
-                        root)
-            self.errors += 1
-            return ("done", "get", start, wire.ST_ERROR, None, root)
-        finally:
-            self._root_detach(root)
+        handle = yield from self._begin(wire.OP_GET, key)
+        return handle
 
     def put_begin(self, key: str, value: bytes):
         """Submit a PUT without waiting (cache-invalidating at submit,
         like :meth:`put`); redeem with :meth:`collect`."""
         self._cache_invalidate(key)
-        if not self._pipelined():
-            return ("lazy", wire.OP_PUT, key, value)
-        self.ops += 1
-        start = self.sim_now()
-        root = self._root_begin()
-        try:
-            for node in self._candidates(wire.OP_PUT, key):
-                if ("rpc", node) in self.dead:
-                    continue
-                try:
-                    ticket = yield from self.rpc[node].put_begin(key, value)
-                except (VmmcTimeoutError, VmmcError):
-                    self.dead.add(("rpc", node))
-                    self.failovers += 1
-                    continue
-                self._pending_writes[key] = \
-                    self._pending_writes.get(key, 0) + 1
-                self._pending_write_node[key] = node
-                return ("rpc", "put", start, node, ticket, key, value, 0,
-                        root)
-            self.errors += 1
-            return ("done", "put", start, wire.ST_ERROR, None, root)
-        finally:
-            self._root_detach(root)
+        handle = yield from self._begin(wire.OP_PUT, key, value)
+        return handle
 
     def delete_begin(self, key: str):
         """Submit a DELETE without waiting; redeem with :meth:`collect`."""
         self._cache_invalidate(key)
+        handle = yield from self._begin(wire.OP_DELETE, key)
+        return handle
+
+    def _begin(self, op: int, key: str, value: bytes = b""):
+        """Submit one point op into the first live replica's pipeline
+        (generator returning a :meth:`collect` handle).
+
+        A write pins its key to the node that took it until collected,
+        so a read of the key rides the same binding FIFO."""
         if not self._pipelined():
-            return ("lazy", wire.OP_DELETE, key, b"")
+            return ("lazy", op, key, value)
+        name = _OP_NAMES[op]
         self.ops += 1
         start = self.sim_now()
         root = self._root_begin()
+        epoch = self._wepoch.get(key, 0) if op == wire.OP_GET else 0
         try:
-            for node in self._candidates(wire.OP_DELETE, key):
-                if ("rpc", node) in self.dead:
-                    continue
-                try:
-                    ticket = yield from self.rpc[node].delete_begin(key)
-                except (VmmcTimeoutError, VmmcError):
-                    self.dead.add(("rpc", node))
-                    self.failovers += 1
-                    continue
-                self._pending_writes[key] = \
-                    self._pending_writes.get(key, 0) + 1
-                self._pending_write_node[key] = node
-                return ("rpc", "delete", start, node, ticket, key, b"", 0,
-                        root)
-            self.errors += 1
-            return ("done", "delete", start, wire.ST_ERROR, None, root)
+            answers = yield from self._walk(
+                "rpc", self._candidates(op, key),
+                lambda node: self._submit(node, op, key, value))
         finally:
             self._root_detach(root)
+        if not answers:
+            self.errors += 1
+            return ("done", name, start, wire.ST_ERROR, None, root)
+        node, ticket = answers[0]
+        if op != wire.OP_GET:
+            self._pending_writes[key] = self._pending_writes.get(key, 0) + 1
+            self._pending_write_node[key] = node
+        return ("rpc", name, start, node, ticket, key, value, epoch, root)
+
+    def _submit(self, node: int, op: int, key: str, value: bytes):
+        """The pipelined submit of ``op`` on ``node`` (a generator)."""
+        client = self.rpc[node]
+        if op == wire.OP_GET:
+            return client.get_begin(key)
+        if op == wire.OP_PUT:
+            return client.put_begin(key, value)
+        return client.delete_begin(key)
 
     def collect(self, handle):
         """Complete a ``*_begin`` handle: ``(status, value-or-None)``.
@@ -533,43 +497,35 @@ class KVClient:
         _, op, start, node, ticket, key, value, epoch, root = handle
         if op != "get":
             self._unpin_write(key)
-        try:
-            raw = yield from self.rpc[node].finish(ticket)
-        except (VmmcTimeoutError, VmmcError):
-            self.dead.add(("rpc", node))
-            self.failovers += 1
-            # Close the abandoned pipelined attempt's root first — its
+        raw = yield from self._call("rpc", node, self.rpc[node].finish(ticket))
+        if raw is _DOWN:
+            status = None
+        elif op == "get":
+            status = raw[0] if raw else wire.ST_MISS
+        else:
+            status = raw
+        if status is None or status == wire.ST_REJECTED:
+            # The node died with the ticket outstanding, or the attempt
+            # was shed.  Close the abandoned attempt's root first — its
             # sid travelled on the wire, so children already point at
-            # it; the synchronous retry opens a trace of its own.
+            # it — and hand the request to the synchronous path, whose
+            # walk and retry loop own failover, backoff and the typed
+            # KvRejectedError.
             self._span(op, start, root)
-            opc = {"get": wire.OP_GET, "put": wire.OP_PUT,
-                   "delete": wire.OP_DELETE}[op]
-            status, out = yield from self._request(opc, key, value)
-            self.ops -= 1  # _request re-counts the op begin counted
-            return status, out
-        rejected = (bool(raw) and raw[0] == wire.ST_REJECTED
-                    if op == "get" else raw == wire.ST_REJECTED)
-        if rejected:
-            # The pipelined attempt was shed.  Close its root span and
-            # hand the request to the synchronous path, whose retry
-            # loop owns backoff and the typed KvRejectedError.
-            self._span(op, start, root)
-            opc = {"get": wire.OP_GET, "put": wire.OP_PUT,
-                   "delete": wire.OP_DELETE}[op]
-            status, out = yield from self._request(opc, key, value)
+            status, out = yield from self._request(_OP_CODES[op], key, value)
             self.ops -= 1  # _request re-counts the op begin counted
             return status, out
         if op == "get":
-            if not raw or raw[0] != wire.ST_OK:
+            if status != wire.ST_OK:
                 self.misses += 1
                 status, out = wire.ST_MISS, None
                 self._note_size(key, None)
             else:
-                status, out = wire.ST_OK, bytes(raw[1:])
+                out = bytes(raw[1:])
                 self._cache_put(key, out, epoch)
                 self._note_size(key, len(out))
         else:
-            status, out = raw, None
+            out = None
             if status == wire.ST_MISS:
                 self.misses += 1
             if op == "put" and status == wire.ST_OK:
@@ -616,17 +572,16 @@ class KVClient:
             if ("sock", node) in self.dead:
                 status = wire.ST_ERROR
                 continue
-            try:
-                records = yield from self._sock_scan(node, prefix, limit)
-                if records is None:
-                    return wire.ST_REJECTED, []
-                # Replicas return the same keys; first copy wins.
-                for rec_key, rec_value in records:
-                    merged.setdefault(rec_key, rec_value)
-            except (VmmcTimeoutError, VmmcError):
-                self.dead.add(("sock", node))
-                self.failovers += 1
+            records = yield from self._call(
+                "sock", node, self._sock_scan(node, prefix, limit))
+            if records is _DOWN:
                 status = wire.ST_ERROR
+                continue
+            if records is None:
+                return wire.ST_REJECTED, []
+            # Replicas return the same keys; first copy wins.
+            for rec_key, rec_value in records:
+                merged.setdefault(rec_key, rec_value)
         return status, [(k, merged[k]) for k in sorted(merged)][:limit]
 
     # -------------------------------------------------------- internals
@@ -829,19 +784,21 @@ class KVClient:
         self.ops += 1
         start = self.sim_now()
         root = self._root_begin()
-        for node in self._candidates(wire.OP_GET, key):
-            reader = self._readers.get(node)
-            if reader is None or not reader.knows(key):
-                continue
+        reader = next((self._readers[node]
+                       for node in self._candidates(wire.OP_GET, key)
+                       if node in self._readers
+                       and self._readers[node].knows(key)), None)
+        if reader is not None:
+            # One lookup: absent there means absent everywhere it can
+            # answer, and a stalled writer or lost replies ask the server.
             try:
                 found, value = yield from reader.lookup(key)
             except VmmcTimeoutError:
-                break  # stalled writer or lost replies: ask the server
+                found = False
             if found:
                 self.onesided_hits += 1
                 self._span("get", start, root)
                 return wire.ST_OK, value
-            break  # absent here means absent everywhere it can answer
         self.onesided_fallbacks += 1
         status, value = yield from self._request(wire.OP_GET, key,
                                                  start=start, root=root)
@@ -871,10 +828,27 @@ class KVClient:
             start = self.sim_now()
             root = self._root_begin()
             self._last_ctx = (root[0], root[1]) if root is not None else None
+        if self.transport == "srpc":
+            kind, op_at = "rpc", self._rpc_op
+        else:
+            kind, op_at = "sock", self._sock_op
         attempt = 0
         try:
             while True:
-                status, out = yield from self._walk(op, key, value)
+                # A rejection is an answer, so it ends the walk: every
+                # replica applies the same admission policy, and
+                # hammering the next one during an overload would defeat
+                # the shed (this loop, with backoff, is the sanctioned
+                # second chance).
+                answers = yield from self._walk(
+                    kind, self._candidates(op, key),
+                    lambda node: op_at(node, op, key, value))
+                if not answers:
+                    self.errors += 1
+                    return wire.ST_ERROR, None
+                status, out = answers[0][1]
+                if status == wire.ST_MISS:
+                    self.misses += 1
                 if status != wire.ST_REJECTED:
                     return status, out
                 if attempt >= self.retry_budget:
@@ -886,36 +860,54 @@ class KVClient:
         finally:
             self._span(_OP_NAMES[op], start, root)
 
-    def _walk(self, op: int, key: str, value: bytes):
-        """Walk the replica set until one server answers (generator).
+    def _walk(self, kind: str, nodes: List[int], attempt, want: int = 1):
+        """The failover walk: every request path's replica loop (generator).
 
-        A rejection ends the walk immediately: every replica applies
-        the same admission policy, and hammering the next one during an
-        overload would defeat the shed (the *retry loop* above, with
-        backoff, is the sanctioned second chance)."""
-        kind = "rpc" if self.transport == "srpc" else "sock"
-        tried_dead = False
-        for node in self._candidates(op, key):
+        Runs ``attempt(node)`` — a generator — on each of ``nodes``
+        whose ``kind`` connection is alive, in order, until ``want``
+        attempts have answered, and returns the ``[(node, answer)]``
+        list (shorter than ``want`` when the set ran out).  An attempt
+        answering None (a replica that shed the request) does not
+        count.  A failed attempt strikes its connection
+        (:meth:`_strike`); a walk that answered only after skipping a
+        connection already struck counts one failover — a fallback
+        replica served it."""
+        answers = []
+        skipped = False
+        for node in nodes:
             if (kind, node) in self.dead:
-                tried_dead = True
+                skipped = True
                 continue
             try:
-                if self.transport == "srpc":
-                    result = yield from self._rpc_op(node, op, key, value)
-                else:
-                    result = yield from self._sock_op(node, op, key, value)
+                answer = yield from attempt(node)
             except (VmmcTimeoutError, VmmcError):
-                self.dead.add((kind, node))
-                self.failovers += 1
+                self._strike(kind, node)
                 continue
-            if tried_dead:
-                self.failovers += 1
-            status, out = result
-            if status == wire.ST_MISS:
-                self.misses += 1
-            return status, out
-        self.errors += 1
-        return wire.ST_ERROR, None
+            if answer is None:
+                continue
+            answers.append((node, answer))
+            if len(answers) >= want:
+                break
+        if skipped and answers:
+            self.failovers += 1
+        return answers
+
+    def _call(self, kind: str, node: int, call):
+        """Run one call on ``node``'s ``kind`` connection (generator).
+
+        Returns the call's result, or :data:`_DOWN` after a typed VMMC
+        failure, which strikes the connection (:meth:`_strike`)."""
+        try:
+            return (yield from call)
+        except (VmmcTimeoutError, VmmcError):
+            self._strike(kind, node)
+            return _DOWN
+
+    def _strike(self, kind: str, node: int) -> None:
+        """Mark ``node``'s ``kind`` connection dead after a typed VMMC
+        failure; every strike counts one failover."""
+        self.dead.add((kind, node))
+        self.failovers += 1
 
     def _backoff(self, attempt: int):
         """Sleep the attempt's backoff (generator): exponential in the
@@ -974,11 +966,8 @@ class KVClient:
             if blob[0] != wire.ST_OK:
                 return wire.ST_MISS, None
             return wire.ST_OK, bytes(blob[9:])
-        proposed = pack_version(VERSION_ZERO)
-        if op == wire.OP_PUT:
-            blob = yield from client.vput(key, proposed, value)
-        else:
-            blob = yield from client.vdelete(key, proposed)
+        blob = yield from self._vwrite(node, key, pack_version(VERSION_ZERO),
+                                       value if op == wire.OP_PUT else None)
         if blob and blob[0] == wire.ST_REJECTED:
             return wire.ST_REJECTED, None
         if not blob:
@@ -1033,19 +1022,14 @@ class KVClient:
             prev = self.proc.trace_ctx
             self.proc.trace_ctx = None
             try:
-                wire_v = pack_version(version)
-                if value is None:
-                    blob = yield from self.rpc[node].vdelete(key, wire_v)
-                else:
-                    blob = yield from self.rpc[node].vput(key, wire_v, value)
-                if blob and blob[0] != wire.ST_REJECTED:
-                    self.repairs += 1
-            except (VmmcTimeoutError, VmmcError):
-                self.dead.add(("rpc", node))
-                self.failovers += 1
-                continue
+                blob = yield from self._call("rpc", node, self._vwrite(
+                    node, key, pack_version(version), value))
             finally:
                 self.proc.trace_ctx = prev
+            if blob is _DOWN:
+                continue
+            if blob and blob[0] != wire.ST_REJECTED:
+                self.repairs += 1
             tracer = self.system.machine.tracer
             if tracer.enabled and ctx is not None:
                 tracer.complete("kv.repair", key, start, track=self.track,
@@ -1053,15 +1037,26 @@ class KVClient:
                                       "node": node})
 
     def _vget_at(self, node: int, key: str):
-        """One replica's versioned answer: ``(status, version, value)``
-        (generator; no failover — quorum assembly owns the walk)."""
+        """One replica's versioned answer (generator): ``(version,
+        value)``, value None for a miss, or None when the replica shed
+        the read — the shape :meth:`_walk` counts toward a quorum."""
         blob = yield from self.rpc[node].vget(key)
         if not blob or blob[0] == wire.ST_REJECTED:
-            return wire.ST_REJECTED, VERSION_ZERO, None
+            return None
         version = unpack_version(bytes(blob[1:9]))
         if blob[0] != wire.ST_OK:
-            return wire.ST_MISS, version, None
-        return wire.ST_OK, version, bytes(blob[9:])
+            return version, None
+        return version, bytes(blob[9:])
+
+    def _vwrite(self, node: int, key: str, wire_v: bytes,
+                value: Optional[bytes]):
+        """A versioned write on ``node`` (generator returning the raw
+        status + winning-dot blob); a None value deletes."""
+        if value is None:
+            blob = yield from self.rpc[node].vdelete(key, wire_v)
+        else:
+            blob = yield from self.rpc[node].vput(key, wire_v, value)
+        return blob
 
     def _quorum_get(self, key: str):
         """R-replica read (generator).
@@ -1079,26 +1074,14 @@ class KVClient:
         root = self._root_begin()
         self._last_ctx = (root[0], root[1]) if root is not None else None
         try:
-            answers = []
-            for node in self.service.replicas_for(key):
-                if ("rpc", node) in self.dead:
-                    continue
-                try:
-                    st, version, value = yield from self._vget_at(node, key)
-                except (VmmcTimeoutError, VmmcError):
-                    self.dead.add(("rpc", node))
-                    self.failovers += 1
-                    continue
-                if st == wire.ST_REJECTED:
-                    continue
-                answers.append((node, version, value))
-                if len(answers) >= self.quorum_r:
-                    break
+            answers = yield from self._walk(
+                "rpc", self.service.replicas_for(key),
+                lambda node: self._vget_at(node, key), want=self.quorum_r)
             if len(answers) < self.quorum_r:
                 self.errors += 1
                 return wire.ST_ERROR, None
-            best_v, best_val = answers[0][1], answers[0][2]
-            for _, version, value in answers[1:]:
+            best_v, best_val = answers[0][1]
+            for _, (version, value) in answers[1:]:
                 if wins(version, value, best_v, best_val):
                     best_v, best_val = version, value
             self.last_version = best_v
@@ -1106,7 +1089,7 @@ class KVClient:
             if seen is None or best_v > seen[0]:
                 self._seen[key] = (best_v, best_val)
             if self.read_repair:
-                for node, version, value in answers:
+                for node, (version, value) in answers:
                     if version < best_v:
                         self.stale_detected += 1
                         self._queue_repair(node, key, best_v, best_val)
@@ -1139,26 +1122,14 @@ class KVClient:
                 base = seen[0]
             proposed = (base[0] + 1, 100 + self.client_id)
             wire_v = pack_version(proposed)
-            acks = 0
-            for node in self.service.replicas_for(key):
-                if ("rpc", node) in self.dead:
-                    continue
-                try:
-                    if value is None:
-                        blob = yield from self.rpc[node].vdelete(key, wire_v)
-                    else:
-                        blob = yield from self.rpc[node].vput(key, wire_v,
-                                                              value)
-                except (VmmcTimeoutError, VmmcError):
-                    self.dead.add(("rpc", node))
-                    self.failovers += 1
-                    continue
-                if blob and blob[0] == wire.ST_REJECTED:
-                    continue
-                acks += 1
-                if acks >= self.quorum_w:
-                    break
-            if acks < self.quorum_w:
+
+            def ack(node):
+                blob = yield from self._vwrite(node, key, wire_v, value)
+                return None if blob and blob[0] == wire.ST_REJECTED else blob
+
+            acks = yield from self._walk("rpc", self.service.replicas_for(key),
+                                         ack, want=self.quorum_w)
+            if len(acks) < self.quorum_w:
                 self.errors += 1
                 return wire.ST_ERROR
             self._floor[key] = proposed
@@ -1248,3 +1219,7 @@ class KVClient:
 
 _OP_NAMES = {wire.OP_GET: "get", wire.OP_PUT: "put",
              wire.OP_DELETE: "delete", wire.OP_SCAN: "scan"}
+_OP_CODES = {name: op for op, name in _OP_NAMES.items()}
+
+#: What :meth:`KVClient._call` returns for a call whose connection died.
+_DOWN = object()

@@ -46,6 +46,7 @@ __all__ = [
     "KV_IDL", "KvShardClient", "KvShardServer", "KV_INTERFACE",
     "KV_BATCH_IDL", "KvBatchClient", "KvBatchServer", "KV_BATCH_INTERFACE",
     "KV_VER_IDL", "KvVerClient", "KvVerServer", "KV_VER_INTERFACE",
+    "shard_interface",
     "REPL_TYPE", "srpc_server_program", "socket_server_program",
     "make_repl_program",
 ]
@@ -104,6 +105,17 @@ program KvShard version 3 {
        wire.VALUE_BOUND, wire.KEY_BOUND)
 
 KvVerClient, KvVerServer, KV_VER_INTERFACE = compile_stubs(KV_VER_IDL)
+
+
+def shard_interface(service: "KVService"):
+    """The ``(client stub, server stub)`` pair of the interface version
+    ``service`` speaks: v3 when versioned, v2 with batching, else v1.
+    Both ends of every binding pick their stubs here, so they agree."""
+    if service.versioned:
+        return KvVerClient, KvVerServer
+    if service.batch:
+        return KvBatchClient, KvBatchServer
+    return KvShardClient, KvShardServer
 
 # NX message type carrying replication records; data and stop records
 # share it so per-connection FIFO ordering makes the stop a barrier.
@@ -349,12 +361,7 @@ def srpc_server_program(service: "KVService", node_id: int):
 
     def program(proc):
         impl = _ShardImpl(service, node_id, proc)
-        if service.versioned:
-            server_cls = KvVerServer
-        elif service.batch:
-            server_cls = KvBatchServer
-        else:
-            server_cls = KvShardServer
+        _client_cls, server_cls = shard_interface(service)
         server = server_cls(service.system, proc, impl,
                             window=service.srpc_window)
         yield from server.serve_binding(service.srpc_port)
@@ -390,6 +397,11 @@ def socket_server_program(service: "KVService", node_id: int):
                 return ok
             yield from proc.compute(cost, priority=lane)
             return True
+
+        def reply(frame):
+            """Stage ``frame`` and send it to the client (generator)."""
+            yield from proc.write(out, frame)
+            yield from sock.send(out, len(frame))
 
         try:
             while True:
@@ -429,80 +441,51 @@ def socket_server_program(service: "KVService", node_id: int):
                                       span.sid if span is not None
                                       else pending_ctx[1])
                 try:
-                    if op == wire.OP_GET:
-                        ok = yield from _admit(LANE_CHEAP,
-                                               service.op_cost(0))
-                        if not ok:
-                            frame = wire.encode_response(wire.ST_REJECTED)
-                            yield from proc.write(out, frame)
-                            yield from sock.send(out, len(frame))
-                            continue
-                        value = store.get(key)
-                        frame = wire.encode_response(
-                            wire.ST_MISS if value is None else wire.ST_OK,
-                            value or b"")
-                        yield from proc.write(out, frame)
-                        yield from sock.send(out, len(frame))
-                    elif op == wire.OP_PUT:
+                    if op == wire.OP_PUT:
                         value = proc.peek(buf + key_len, third)
-                        ok = yield from _admit(LANE_BULK,
-                                               service.op_cost(len(value)))
-                        if not ok:
-                            frame = wire.encode_response(wire.ST_REJECTED)
-                            yield from proc.write(out, frame)
-                            yield from sock.send(out, len(frame))
-                            continue
-                        store.put(key, value)
+                        lane, nbytes = LANE_BULK, len(value)
+                    elif op == wire.OP_GET:
+                        lane, nbytes = LANE_CHEAP, 0
+                    elif op in (wire.OP_DELETE, wire.OP_SCAN):
+                        lane, nbytes = LANE_BULK, 0
+                    else:
+                        yield from reply(wire.encode_response(wire.ST_ERROR))
+                        continue
+                    ok = yield from _admit(lane, service.op_cost(nbytes))
+                    if not ok:
+                        # Streams have no response header; a distinguished
+                        # sentinel record tells the client a whole scan
+                        # was shed.
+                        yield from reply(
+                            wire.scan_reject_record() if op == wire.OP_SCAN
+                            else wire.encode_response(wire.ST_REJECTED))
+                        continue
+                    if op == wire.OP_GET:
+                        value = store.get(key)
+                        yield from reply(wire.encode_response(
+                            wire.ST_MISS if value is None else wire.ST_OK,
+                            value or b""))
+                    elif op == wire.OP_SCAN:
+                        for rec_key, rec_value in store.scan(key, third):
+                            yield from proc.compute(
+                                apply_cost(len(rec_value)),
+                                priority=LANE_BULK)
+                            yield from reply(
+                                wire.encode_scan_record(rec_key, rec_value))
+                        yield from reply(wire.scan_end_record())
+                    else:
+                        if op == wire.OP_PUT:
+                            store.put(key, value)
+                            status = wire.ST_OK
+                        else:
+                            value = None
+                            status = (wire.ST_OK if store.delete(key)
+                                      else wire.ST_MISS)
                         yield from service.region_store(
                             node_id, proc, key, value)
                         service.enqueue_replication(
                             node_id, key, value, trace_ctx=proc.trace_ctx)
-                        frame = wire.encode_response(wire.ST_OK)
-                        yield from proc.write(out, frame)
-                        yield from sock.send(out, len(frame))
-                    elif op == wire.OP_DELETE:
-                        ok = yield from _admit(LANE_BULK,
-                                               service.op_cost(0))
-                        if not ok:
-                            frame = wire.encode_response(wire.ST_REJECTED)
-                            yield from proc.write(out, frame)
-                            yield from sock.send(out, len(frame))
-                            continue
-                        existed = store.delete(key)
-                        yield from service.region_store(
-                            node_id, proc, key, None)
-                        service.enqueue_replication(
-                            node_id, key, None, trace_ctx=proc.trace_ctx)
-                        frame = wire.encode_response(
-                            wire.ST_OK if existed else wire.ST_MISS)
-                        yield from proc.write(out, frame)
-                        yield from sock.send(out, len(frame))
-                    elif op == wire.OP_SCAN:
-                        ok = yield from _admit(LANE_BULK,
-                                               service.op_cost(0))
-                        if not ok:
-                            # Streams have no response header; a
-                            # distinguished sentinel record tells the
-                            # client the whole scan was shed.
-                            frame = wire.scan_reject_record()
-                            yield from proc.write(out, frame)
-                            yield from sock.send(out, len(frame))
-                            continue
-                        records = store.scan(key, third)
-                        for rec_key, rec_value in records:
-                            yield from proc.compute(
-                                apply_cost(len(rec_value)),
-                                priority=LANE_BULK)
-                            frame = wire.encode_scan_record(rec_key, rec_value)
-                            yield from proc.write(out, frame)
-                            yield from sock.send(out, len(frame))
-                        frame = wire.scan_end_record()
-                        yield from proc.write(out, frame)
-                        yield from sock.send(out, len(frame))
-                    else:
-                        frame = wire.encode_response(wire.ST_ERROR)
-                        yield from proc.write(out, frame)
-                        yield from sock.send(out, len(frame))
+                        yield from reply(wire.encode_response(status))
                 finally:
                     proc.trace_ctx = prev_ctx
                     proc.tracer.end(span)
@@ -615,6 +598,19 @@ def _sender_program(service: "KVService", nx, rank: int, done):
 
     def program(_proc):
         sbuf = nx.proc.space.mmap(4096)
+
+        def fan_out(targets, nbytes):
+            """csend the staged ``nbytes`` record to every target in
+            order (generator returning how many sends succeeded)."""
+            sent = 0
+            for target in targets:
+                try:
+                    yield from nx.csend(REPL_TYPE, sbuf, nbytes, to=target)
+                    sent += 1
+                except (VmmcTimeoutError, VmmcError):
+                    service.repl_send_failures += 1
+            return sent
+
         sent = 0
         try:
             while True:
@@ -628,24 +624,13 @@ def _sender_program(service: "KVService", nx, rank: int, done):
                 prev_ctx = nx.proc.trace_ctx
                 nx.proc.trace_ctx = ctx
                 try:
-                    for target in targets:
-                        try:
-                            yield from nx.csend(REPL_TYPE, sbuf,
-                                                len(record), to=target)
-                            sent += 1
-                        except (VmmcTimeoutError, VmmcError):
-                            service.repl_send_failures += 1
+                    sent += yield from fan_out(targets, len(record))
                 finally:
                     nx.proc.trace_ctx = prev_ctx
             stop = wire.encode_repl_record(wire.REPL_STOP)
             yield from nx.proc.write(sbuf, stop)
-            for peer in service.nodes:
-                if peer == rank:
-                    continue
-                try:
-                    yield from nx.csend(REPL_TYPE, sbuf, len(stop), to=peer)
-                except (VmmcTimeoutError, VmmcError):
-                    service.repl_send_failures += 1
+            yield from fan_out([peer for peer in service.nodes if peer != rank],
+                               len(stop))
         finally:
             done.succeed()
         return sent

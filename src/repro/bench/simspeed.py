@@ -67,18 +67,12 @@ def _spin(sim: Simulator, n: int):
         yield sim.timeout(1.0)
 
 
-def dispatch_rate(events: int = 200000, repeats: int = 3,
-                  scheduler: Optional[str] = None) -> Dict[str, float]:
-    """Raw dispatch throughput: best-of-``repeats`` events/sec.
-
-    ``scheduler`` selects the queue implementation ("heap" or
-    "calendar"); None takes the engine default (heap, see
-    docs/SIMULATOR.md for why).
-    """
+def dispatch_rate(events: int = 200000, repeats: int = 3) -> Dict[str, float]:
+    """Raw dispatch throughput: best-of-``repeats`` events/sec."""
     best = None
     executed = 0
     for _ in range(repeats):
-        sim = Simulator(scheduler=scheduler) if scheduler else Simulator()
+        sim = Simulator()
         Process(sim, _spin(sim, events), name="simspeed-spin")
         t0 = time.perf_counter()
         sim.run()
@@ -130,9 +124,6 @@ def simspeed_payload(quick: bool = False) -> dict:
     """
     dispatch = dispatch_rate(events=50000 if quick else 200000,
                              repeats=1 if quick else 3)
-    dispatch_cal = dispatch_rate(events=50000 if quick else 200000,
-                                 repeats=1 if quick else 3,
-                                 scheduler="calendar")
     capacity = capacity_wall(repeats=1 if quick else 3)
     base = SEED_BASELINE
     seed_equiv_eps = base["capacity_events"] / capacity["best_wall_s"]
@@ -141,7 +132,6 @@ def simspeed_payload(quick: bool = False) -> dict:
         "quick": quick,
         "baseline_seed_engine": dict(base),
         "dispatch": dispatch,
-        "dispatch_calendar": dispatch_cal,
         "capacity": dict(capacity,
                          seed_equivalent_events_per_s=seed_equiv_eps),
         "speedup_vs_seed": {
@@ -198,8 +188,6 @@ def main(argv=None) -> int:
              payload["dispatch"]["best_wall_s"],
              payload["dispatch"]["events_per_s"],
              speed["dispatch_events_per_s"]))
-    print("dispatch (calendar queue): %.0f events/s"
-          % payload["dispatch_calendar"]["events_per_s"])
     print("capacity: %d entries in %.3f s (seed: %d in %.3f s) -> "
           "wall %.2fx, %.0f%% entries eliminated"
           % (payload["capacity"]["events"],

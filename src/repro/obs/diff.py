@@ -250,8 +250,6 @@ def diff_bench_payloads(a: dict, b: dict) -> str:
         for title, path, fmt in (
                 ("dispatch events/s", ("dispatch", "events_per_s"),
                  "%.0f"),
-                ("dispatch (calendar) events/s",
-                 ("dispatch_calendar", "events_per_s"), "%.0f"),
                 ("capacity wall s", ("capacity", "best_wall_s"),
                  "%.3f"),
                 ("capacity seed-equivalent events/s",
