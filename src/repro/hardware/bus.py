@@ -15,9 +15,9 @@ charging; it exists so that ablations can model memory-bus saturation.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
-from ..sim import BandwidthChannel, Event, FaultInjector, FaultSite, Simulator
+from ..sim import BandwidthChannel, FaultInjector, FaultSite, Simulator
 from .config import MachineConfig
 
 __all__ = ["EisaBus", "XpressBus"]
@@ -55,8 +55,8 @@ class EisaBus(BandwidthChannel):
             return base * self._degrade_factor
         return base
 
-    def transfer(self, nbytes: int, value: Any = None) -> Event:
-        """Queue a DMA transfer, consulting the fault site first."""
+    def reserve(self, nbytes: int) -> float:
+        """Book a DMA transfer, consulting the fault site first."""
         if self.faults.enabled:
             fault = self.faults.draw(FaultSite.BUS_EISA, node=self.node_id)
             if fault is not None:
@@ -65,7 +65,7 @@ class EisaBus(BandwidthChannel):
                     "duration_us", 200.0
                 )
                 self.degrade_windows += 1
-        return super().transfer(nbytes, value)
+        return super().reserve(nbytes)
 
     def pio_cost(self, accesses: int = 1) -> float:
         """CPU time of ``accesses`` programmed-I/O accesses decoded by the NIC.

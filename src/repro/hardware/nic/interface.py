@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ...sim import BandwidthChannel, Event, FaultInjector, Simulator, Tracer, spawn
+from ...sim import BandwidthChannel, Event, FaultInjector, Simulator, Tracer
 from ..config import MachineConfig
 from ..memory import PhysicalMemory
 from ..router.mesh import MeshBackplane
@@ -63,7 +63,8 @@ class NetworkInterface:
         self.ipt = IncomingPageTable(config)
         self.fifo = OutgoingFifo(sim, config, name="outgoing-fifo-n%d" % node_id)
         self.packetizer = Packetizer(sim, config, node_id, self.fifo, self.tracer,
-                                     faults=self.faults)
+                                     faults=self.faults,
+                                     numbers=mesh.packet_numbers)
         self.snoop = SnoopLogic(config, self.opt, self.packetizer)
         self.arbiter = Arbiter(sim, node_id)
         self.du_engine = DeliberateUpdateEngine(
@@ -83,7 +84,8 @@ class NetworkInterface:
         self.shadow = RegionShadow(config)
         self.incoming.shadow = self.shadow
         mesh.attach(node_id, self.incoming.deliver)
-        spawn(sim, self._inject_loop(), name="nic-inject-n%d" % node_id)
+        self._inject_track = "n%d.nic.inject" % node_id
+        self.fifo.wait(self._inject)
 
     # -- CPU-facing datapaths ------------------------------------------------
     def snoop_write(self, paddr: int, data: bytes) -> None:
@@ -139,37 +141,41 @@ class NetworkInterface:
         self.incoming.unfreeze(discard=discard)
 
     # -- outgoing injection ---------------------------------------------------------
-    def _inject_loop(self):
-        """Move closed packets from the Outgoing FIFO onto the backplane.
+    # One serial stage per NIC, run as scheduled callbacks: this is what
+    # makes per-source injection (and therefore per-pair delivery)
+    # ordered.  Each packet costs a port claim, the injection latency,
+    # and the hand-off to the mesh; then the stage takes the next packet
+    # or parks on the empty FIFO.
 
-        One serial process per NIC: this is what makes per-source
-        injection (and therefore per-pair delivery) ordered.
-        """
-        cfg = self.config
-        track = "n%d.nic.inject" % self.node_id
-        fifo = self.fifo
-        empty = object()
-        while True:
-            # Buffered-packet fast path (see IncomingEngine._run).
-            packet = fifo.try_get(empty)
-            if packet is empty:
-                packet = yield fifo.get()
-            span = None
-            if self.tracer.enabled:
-                span = self.tracer.begin(
-                    "nic.inject", "inject #%d %dB" % (packet.seq, packet.size),
-                    track=track, data={"bytes": packet.size},
-                )
-            grant = self.arbiter.request(priority=OUTGOING_PRIORITY)
-            if not grant.triggered:
-                yield grant
-            yield self.sim.timeout(cfg.nic_injection_latency)
-            self.tracer.log(
-                "inject", "n%d injected #%d", self.node_id, packet.seq
+    def _inject(self, packet) -> None:
+        """Claim the NIC port for ``packet``."""
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.begin(
+                "nic.inject", "inject #%d %dB" % (packet.seq, packet.size),
+                track=self._inject_track, data={"bytes": packet.size},
             )
-            self.mesh.inject(packet)
-            self.tracer.end(span)
-            self.arbiter.release(grant)
+        if self.arbiter.acquire(OUTGOING_PRIORITY, self._inject_granted,
+                                packet, span):
+            self._inject_granted(packet, span)
+
+    def _inject_granted(self, packet, span) -> None:
+        self.sim.schedule_call(self.config.nic_injection_latency,
+                               self._injected, packet, span)
+
+    def _injected(self, packet, span) -> None:
+        """Put ``packet`` on the backplane, free the port, go again."""
+        self.tracer.log(
+            "inject", "n%d injected #%d", self.node_id, packet.seq
+        )
+        self.mesh.inject(packet)
+        self.tracer.end(span)
+        self.arbiter.release()
+        packet = self.fifo.try_get()
+        if packet is None:
+            self.fifo.wait(self._inject)
+        else:
+            self._inject(packet)
 
     # -- statistics -------------------------------------------------------------------
     def stats(self) -> dict:

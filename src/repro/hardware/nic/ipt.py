@@ -88,4 +88,7 @@ class IncomingPageTable:
         page_size = self.config.page_size
         first = paddr // page_size
         last = (paddr + nbytes - 1) // page_size
+        if first == last:  # one page: every landing packet, most reads
+            ent = self._entries.get(first)
+            return ent is not None and ent.enabled
         return all(self.is_enabled(p) for p in range(first, last + 1))

@@ -21,9 +21,10 @@ latency it was charged (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import itertools
+from typing import Iterator, Optional
 
-from ...sim import FaultInjector, Simulator, Tracer, spawn
+from ...sim import FaultInjector, Simulator, Tracer
 from ..config import MachineConfig
 from ..router.packet import Packet, PacketKind
 from .fifo import OutgoingFifo
@@ -65,11 +66,15 @@ class Packetizer:
         fifo: OutgoingFifo,
         tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
+        numbers: Optional[Iterator[int]] = None,
     ):
         self.sim = sim
         self.config = config
         self.node_id = node_id
         self.fifo = fifo
+        # Source of packet numbers: the machine's backplane counter when
+        # part of a NIC, a private one when built standalone.
+        self._numbers = numbers if numbers is not None else itertools.count(1)
         self.tracer = tracer or Tracer(sim)
         self.faults = faults or FaultInjector(sim)
         self._open: Optional[_OpenPacket] = None
@@ -206,6 +211,7 @@ class Packetizer:
             payload=payload,
             kind=kind,
             interrupt=interrupt,
+            seq=next(self._numbers),
         )
         self.packets_formed += 1
         self.tracer.log(
@@ -217,9 +223,9 @@ class Packetizer:
         # additionally went through the snoop/OPT lookup stage.  Enqueue
         # times are forced monotonic so a cheaper DU packet can never
         # overtake an AU packet already in the pipeline (the mux feeds
-        # one FIFO, in order).  A spawned putter keeps FIFO-full
-        # backpressure working while preserving order (Store putters
-        # queue FIFO).
+        # one FIFO, in order).  The timed entry is the FIFO put itself:
+        # its last action, so an idle injection stage may take the
+        # packet in place, and a full FIFO keeps it in order.
         delay = self.config.packetize_latency
         if kind is PacketKind.AUTOMATIC_UPDATE:
             delay += self.config.snoop_opt_lookup
@@ -234,15 +240,4 @@ class Packetizer:
                 track="n%d.nic.pktz" % self.node_id,
                 data={"bytes": packet.size, "dst_node": dst_node},
             )
-        self.sim.schedule_call(target - self.sim.now, self._enqueue, packet)
-
-    def _enqueue(self, packet: Packet) -> None:
-        event = self.fifo.put(packet)
-        if event.triggered:
-            return
-        # FIFO full: park a process on the pending put so backpressure
-        # reaches the packetizer in FIFO order.
-        def putter():
-            yield event
-
-        spawn(self.sim, putter(), name="fifo-put-n%d" % self.node_id)
+        self.sim.schedule_call(target - self.sim.now, self.fifo.put, packet)

@@ -9,6 +9,7 @@ wormhole cut-through and per-pair ordering without per-flit events.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...sim import FaultInjector, FaultKind, FaultSite, Simulator, Tracer
@@ -35,6 +36,10 @@ class MeshBackplane:
             for x in range(config.mesh_width):
                 self.routers[(x, y)] = RouterNode(sim, config, x, y)
         self._receivers: Dict[int, DeliverFn] = {}
+        # Packet numbers (``Packet.seq``) for every NIC on this
+        # backplane: machine-owned, so two runs in one interpreter name
+        # their packets, spans and journeys alike.
+        self.packet_numbers = itertools.count(1)
         # Loopback traffic still crosses the NIC/router port serially;
         # one pseudo-link per node keeps self-sends FIFO too.
         self._loopback: Dict[int, "Link"] = {}

@@ -18,17 +18,13 @@ hardware wire formats, so their structs live here next to the packet.
 from __future__ import annotations
 
 import enum
-import itertools
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 __all__ = ["PacketKind", "Packet", "ReadRequest", "READ_REPLY_HEADER",
            "READ_REQUEST_MAGIC", "encode_read_request",
            "decode_read_request", "encode_read_reply_header"]
-
-_SEQUENCE = itertools.count(1)
 
 
 class PacketKind(enum.Enum):
@@ -95,7 +91,6 @@ def encode_read_reply_header(seq: int, data: bytes,
                                   zlib.crc32(data) & 0xFFFFFFFF, status)
 
 
-@dataclass
 class Packet:
     """One wormhole packet on the backplane.
 
@@ -103,28 +98,36 @@ class Packet:
     DMA engine will write to after checking the Incoming Page Table.
     ``interrupt`` is the sender-specified interrupt flag of Section 3.2:
     an interrupt is raised at the destination only if this AND the
-    receiving page's IPT interrupt flag are both set.
+    receiving page's IPT interrupt flag are both set.  ``seq`` is the
+    packet's machine-wide number (the ``#n`` of spans and logs), handed
+    out by the backplane's :attr:`~repro.hardware.router.mesh.
+    MeshBackplane.packet_numbers`; a packet built by hand keeps 0 unless
+    given one.  ``size`` is the payload length, fixed at construction
+    (the payload is immutable).
+
+    Slotted: the NIC datapath builds one per packet.
     """
 
-    src_node: int
-    dst_node: int
-    dst_paddr: int
-    payload: bytes
-    kind: PacketKind
-    interrupt: bool = False
-    seq: int = field(default_factory=lambda: next(_SEQUENCE))
+    __slots__ = ("src_node", "dst_node", "dst_paddr", "payload", "kind",
+                 "interrupt", "seq", "size")
 
-    #: Payload size in bytes (fixed at construction; payload is immutable).
-    size: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.payload:
+    def __init__(self, src_node: int, dst_node: int, dst_paddr: int,
+                 payload: bytes, kind: PacketKind, interrupt: bool = False,
+                 seq: int = 0):
+        if not payload:
             raise ValueError("packet must carry at least one byte")
         # Payload is kept immutable so in-flight packets cannot alias the
         # sender's memory (the hardware latches the written data).
-        if not isinstance(self.payload, bytes):
-            self.payload = bytes(self.payload)
-        self.size = len(self.payload)
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.dst_paddr = dst_paddr
+        self.payload = payload
+        self.kind = kind
+        self.interrupt = interrupt
+        self.seq = seq
+        self.size = len(payload)
 
     def wire_size(self, header_bytes: int) -> int:
         """Total bytes on a link, including the header."""

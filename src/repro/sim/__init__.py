@@ -1,8 +1,9 @@
 """Discrete-event simulation kernel (system S1 in DESIGN.md).
 
-Everything active in the SHRIMP model — user programs, daemons, DMA
-engines, routers — runs as a generator-based process on a single
-:class:`Simulator` event loop.  Time is in microseconds.
+Everything active in the SHRIMP model runs on a single
+:class:`Simulator` event loop: user programs and daemons as
+generator-based processes, the NIC's fixed-function stages as plain
+scheduled callbacks.  Time is in microseconds.
 
 The kernel also hosts the observability layer (docs/OBSERVABILITY.md):
 :class:`Tracer`/:class:`Span` record structured begin/end intervals on

@@ -392,6 +392,25 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, priority, seq, fn, args))
 
+    def schedule_at(
+        self,
+        time: float,
+        fn: Callable,
+        *args: Any,
+        priority: int = NORMAL,
+    ) -> None:
+        """Schedule ``fn(*args)`` at the *absolute* time ``time``.
+
+        The callback twin of :meth:`timeout_at`: the deadline float is
+        used verbatim, so a merged ``(now + a) + b`` deadline lands on
+        the bit-exact instant the two-step version would have.
+        """
+        if time < self._now:
+            raise ValueError("cannot schedule in the past (time=%r, now=%r)"
+                             % (time, self._now))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, priority, seq, fn, args))
+
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name)

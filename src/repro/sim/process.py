@@ -6,11 +6,12 @@ triggers on completion).  Yielding suspends the process until the event
 triggers; the event's value is sent back into the generator, and a failed
 event has its exception thrown in.
 
-This is the execution model for everything active in the SHRIMP model:
-user programs, the SHRIMP daemons, DMA engines, router pipelines, and the
-benchmark drivers.  Library calls (``csend``, ``clnt_call``, ``send``...)
-are written as generator functions that the application process delegates
-to with ``yield from``, mirroring the paper's "runs entirely at user level"
+This is the execution model for the software side of the SHRIMP model:
+user programs, the SHRIMP daemons, and the benchmark harnesses (the
+NIC's fixed-function stages are plain scheduled callbacks instead).
+Library calls (``csend``, ``clnt_call``, ``send``...) are written as
+generator functions that the application process delegates to with
+``yield from``, mirroring the paper's "runs entirely at user level"
 structure: the library code literally executes on the application process.
 """
 

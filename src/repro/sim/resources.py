@@ -280,7 +280,8 @@ class BandwidthChannel:
     """A serial pipe: transfers occupy it back-to-back at a fixed rate.
 
     ``transfer(nbytes)`` returns an event that fires when the *last byte*
-    has passed through.  Transfers queue in FIFO order; each takes
+    has passed through; ``reserve(nbytes)`` books the same transfer and
+    returns that instant instead.  Transfers queue in FIFO order; each takes
     ``overhead + nbytes / bandwidth`` microseconds of channel time.
 
     Busy time and head-of-line wait accumulate per transfer.  When a
@@ -322,6 +323,16 @@ class BandwidthChannel:
 
     def transfer(self, nbytes: int, value: Any = None) -> Event:
         """Queue a transfer; returns an event fired at completion time."""
+        finish = self.reserve(nbytes)
+        return self.sim.timeout(finish - self.sim.now, value)
+
+    def reserve(self, nbytes: int) -> float:
+        """Queue a transfer and return its completion time.
+
+        The accounting half of :meth:`transfer`, for callers that run as
+        scheduled callbacks: ``schedule_call(finish - now, ...)`` lands
+        on the same float ``transfer``'s timeout would.
+        """
         start = self.busy_until()
         occupied = self.occupancy(nbytes)
         finish = start + occupied
@@ -335,7 +346,7 @@ class BandwidthChannel:
             tracer.complete("bus", "%s xfer %dB" % (self.name, nbytes),
                             start, finish, track=self.track,
                             data={"bytes": nbytes})
-        return self.sim.timeout(finish - self.sim.now, value)
+        return finish
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of elapsed simulated time the channel was occupied."""

@@ -1,5 +1,7 @@
 """Unit tests for the mesh backplane: routing, ordering, timing."""
 
+import itertools
+
 import pytest
 
 from repro.hardware import MachineConfig
@@ -15,10 +17,16 @@ def make_mesh(config=None):
     return sim, config, mesh
 
 
+# Hand-built packets are numbered here, as a NIC's packetizer numbers
+# its packets from the backplane's counter.
+_numbers = itertools.count(1)
+
+
 def packet(src, dst, payload=b"\x01\x02\x03\x04", paddr=0x10000):
     return Packet(
         src_node=src, dst_node=dst, dst_paddr=paddr,
         payload=payload, kind=PacketKind.AUTOMATIC_UPDATE,
+        seq=next(_numbers),
     )
 
 

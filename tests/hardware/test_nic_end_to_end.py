@@ -13,6 +13,10 @@ from repro.sim import spawn
 
 PAGE = 4096
 
+# When the frozen packet of the receive-freeze scenario lands (and the
+# run ends), in microseconds: pinned exactly, not within a tolerance.
+LANDED_AFTER_FREEZE = 21.987229110512132
+
 
 def make_machine(**kwargs):
     return Machine(MachineConfig(**kwargs) if kwargs else None)
@@ -130,13 +134,14 @@ def test_du_from_scattered_physical_segments():
     assert machine.node(1).peek(60 * PAGE, 8) == b"AAAABBBB"
 
 
-def test_receive_fault_freezes_until_kernel_unfreezes():
-    """A packet for a non-enabled page freezes the receive path and
-    interrupts the CPU; after the 'kernel' enables the page and
-    unfreezes, the transfer completes."""
+def _receive_freeze():
+    """A packet for a non-enabled page; the 'kernel' enables the page
+    and unfreezes.  Returns the machine, the faults it was handed, and
+    the instant the payload landed."""
     machine = make_machine()
     nic1 = machine.node(1).nic
     faults = []
+    landed = []
 
     def fault_handler(fault):
         faults.append(fault)
@@ -144,6 +149,8 @@ def test_receive_fault_freezes_until_kernel_unfreezes():
         nic1.unfreeze()
 
     nic1.fault_handler = fault_handler
+    machine.node(1).memory.add_watch(
+        32 * PAGE, 4, lambda p, n: landed.append(machine.sim.now))
     # Bind AU without enabling the receive page:
     machine.node(0).nic.opt.bind_page(16, OPTEntry(dst_node=1, dst_page=32))
 
@@ -154,10 +161,27 @@ def test_receive_fault_freezes_until_kernel_unfreezes():
 
     spawn(machine.sim, sender())
     machine.run()
+    return machine, faults, landed
+
+
+def test_receive_fault_freezes_until_kernel_unfreezes():
+    """A packet for a non-enabled page freezes the receive path and
+    interrupts the CPU; after the 'kernel' enables the page and
+    unfreezes, the transfer completes."""
+    machine, faults, _ = _receive_freeze()
+    nic1 = machine.node(1).nic
     assert len(faults) == 1
     assert faults[0].src_node == 0
     assert machine.node(1).peek(32 * PAGE, 4) == b"\xde\xad\xbe\xef"
     assert nic1.stats()["receive_faults"] == 1
+
+
+def test_receive_freeze_landing_time_is_exact():
+    """The freeze scenario above, pinned to the ulp: lookup, freeze,
+    interrupt latency, unfreeze, re-check, DMA setup and bus time."""
+    machine, _, landed = _receive_freeze()
+    assert landed == [LANDED_AFTER_FREEZE]
+    assert machine.sim.now == LANDED_AFTER_FREEZE
 
 
 def test_notification_interrupt_requires_both_flags():

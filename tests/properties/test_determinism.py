@@ -54,3 +54,22 @@ def test_nx_workload_end_times_reproducible(plan):
         return handles[1].value
 
     assert run() == run()
+
+
+def test_traced_workload_span_lists_repeat_in_one_process():
+    """Two identical traced runs in one interpreter record identical
+    spans, packet numbers included: the machine, not the module, owns
+    the packet counter, so the second run's first packet is ``#1`` too."""
+    from repro.workload import WorkloadSpec, run_workload
+
+    spec = WorkloadSpec(seed=1, transport="srpc", arrival="open",
+                        load=6000.0, concurrency=4, requests=10, keys=50,
+                        read_fraction=0.8, trace=True)
+
+    def spans():
+        return [(s.sid, s.parent, s.category, s.name, s.track, s.start, s.end)
+                for s in run_workload(spec).spans]
+
+    first = spans()
+    assert any(name.startswith("pkt #1 ") for _, _, _, name, _, _, _ in first)
+    assert spans() == first

@@ -24,9 +24,10 @@ def run_traffic(n_nodes, mesh_w, mesh_h, traffic):
     for node in range(n_nodes):
         mesh.attach(node, lambda p, node=node: arrivals[node].append((p.src_node, p.seq)))
     injected = []
-    for src, dst, size, delay in traffic:
+    for number, (src, dst, size, delay) in enumerate(traffic, 1):
         packet = Packet(src_node=src, dst_node=dst, dst_paddr=0x10000,
-                        payload=bytes(size), kind=PacketKind.DELIBERATE_UPDATE)
+                        payload=bytes(size), kind=PacketKind.DELIBERATE_UPDATE,
+                        seq=number)
         injected.append(packet)
         sim.schedule_call(delay, mesh.inject, packet)
     sim.run()

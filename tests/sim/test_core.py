@@ -42,6 +42,19 @@ def test_negative_delay_rejected():
         sim.schedule_call(-1.0, lambda: None)
 
 
+def test_schedule_at_uses_the_deadline_verbatim():
+    """``schedule_at(t)`` dispatches at exactly ``t``; the relative form
+    ``schedule_call(t - now)`` would land on ``now + (t - now)``."""
+    sim = Simulator()
+    seen = []
+    sim.schedule_call(0.1, lambda: sim.schedule_at((sim.now + 0.2) + 0.15,
+                                                   lambda: seen.append(sim.now)))
+    sim.run()
+    assert seen == [(0.1 + 0.2) + 0.15]
+    with pytest.raises(ValueError):
+        sim.schedule_at(sim.now - 1.0, lambda: None)
+
+
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     seen = []

@@ -296,6 +296,29 @@ def test_channel_counts_bytes_and_transfers():
     assert chan.transfers == 2
 
 
+def test_channel_reserve_books_like_transfer():
+    """``reserve`` is ``transfer``'s accounting without the event:
+    ``schedule_call(finish - now, ...)`` fires at the instant the
+    transfer's event would, and the counters match."""
+    def run(book):
+        sim = Simulator()
+        chan = BandwidthChannel(sim, bandwidth=3.0, overhead=0.1)
+        fired = []
+        for t, size in ((0.0, 10), (1.0, 7), (50.0, 4)):
+            sim.schedule_call(t, book, sim, chan, size, fired)
+        sim.run()
+        return fired, chan.metrics_snapshot()
+
+    def by_event(sim, chan, size, fired):
+        chan.transfer(size).add_callback(lambda e: fired.append(sim.now))
+
+    def by_reserve(sim, chan, size, fired):
+        finish = chan.reserve(size)
+        sim.schedule_call(finish - sim.now, lambda: fired.append(sim.now))
+
+    assert run(by_reserve) == run(by_event)
+
+
 def test_channel_rejects_bad_args():
     sim = Simulator()
     with pytest.raises(ValueError):
