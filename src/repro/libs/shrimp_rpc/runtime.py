@@ -19,18 +19,19 @@ whatever the procedure writes propagates back to the client by
 automatic update, overlapped with the server's computation; an INOUT
 the server never writes costs nothing on the return path.
 
-**Multi-call pipelining** (docs/PROTOCOLS.md "Pipelined SHRIMP RPC"):
-a binding created with ``window=W > 1`` replicates the whole buffer
-layout into W consecutive *frames* of identical stride.  Call ``seq``
-occupies frame ``(seq - 1) % W``; the client keeps up to W calls in
+**One frame protocol** (docs/PROTOCOLS.md "Pipelined SHRIMP RPC"): a
+binding created with ``window=W`` replicates the whole buffer layout
+into W consecutive *frames* of identical stride, and call ``seq``
+occupies frame ``(seq - 1) % W``.  The client keeps up to W calls in
 flight (``*_begin`` stub methods return a :class:`SrpcTicket`,
-``finish`` matches the reply by sequence number, in any order), while
-the server serves strictly in sequence order — requests travel the
-same AU binding and arrive in issue order, so per-binding FIFO is
-preserved and the reply for seq *n* can never overtake *n - 1*.  With
-``window=1`` (the default) the layout and every timed operation are
-bit-identical to the unpipelined protocol, which the zero-regression
-goldens pin.
+``finish`` matches the reply by sequence number, in any order); a
+synchronous call is one submit whose ticket is harvested at once, so
+``window=1`` — the default — is the single-buffer protocol above.  The
+server serves strictly in sequence order: requests travel the same AU
+binding and arrive in issue order, so per-binding FIFO is preserved and
+the reply for seq *n* can never overtake *n - 1*.  Under an armed fault
+plan the same loops run hardened (CRC-stamped images, retransmission,
+reply replay; docs/FAULTS.md).
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class _SrpcEndpointBase:
     that many identical frames, and up to that many calls may be in
     flight on the binding at once.  Both sides of a binding must agree
     on the window (the workload plumbing guarantees it); ``window=1``
-    reproduces the unpipelined single-frame protocol exactly.
+    is the paper's single buffer.
     """
 
     IDL: Interface  # installed by the stub generator on subclasses
@@ -211,13 +212,9 @@ class _SrpcEndpointBase:
         page = proc.config.page_size
         self.region_bytes = -(-(tail * window) // page) * page
         self.buf = 0  # local buffer vaddr (set during binding)
-        # Windowed calls temporarily re-base buffer access onto their
-        # frame; 0 keeps the window=1 paths byte-identical.
+        # Buffer access is re-based onto the frame of the call being
+        # issued, collected or served, and reset to 0 between calls.
         self._active_base = 0
-
-    def _frame_base(self, seq: int) -> int:
-        """The buffer offset of the frame call ``seq`` occupies."""
-        return ((seq - 1) % self.window) * self.frame_stride
 
     def _make_buffer(self):
         self.buf = self.ep.alloc_buffer(self.region_bytes,
@@ -256,15 +253,17 @@ class _SrpcEndpointBase:
 
 
 class SrpcTicket:
-    """One in-flight pipelined call, matched to its reply by sequence.
+    """One in-flight call, matched to its reply by sequence.
 
     Returned by the generated ``*_begin`` stub methods; redeem it with
     :meth:`SrpcClientBase.finish` (in any order — replies land in their
-    own frame, so tickets may be finished out of submission order).
+    own frame, so tickets may be finished out of submission order).  A
+    synchronous call holds a ticket too, harvested at once.
     """
 
     __slots__ = ("seq", "proc_id", "frame", "ret_bytes", "out_reads",
-                 "start_us", "raw", "bad", "done", "trace_sid", "trace_ctx")
+                 "start_us", "raw", "bad", "done", "trace_sid", "trace_ctx",
+                 "call_span")
 
     def __init__(self, seq: int, proc_id: int, frame: int,
                  ret_bytes: int, out_reads, start_us: float):
@@ -277,30 +276,34 @@ class SrpcTicket:
         self.raw: Optional[List[bytes]] = None
         self.bad = False
         self.done = False
-        # Pre-reserved call-span sid and the caller's trace context,
-        # captured at submit so the span completed at harvest links into
-        # the same causal tree the wire advertised.
+        # The call-span sid and the caller's trace context, captured at
+        # submit so the wire advertises them and the span links into the
+        # same causal tree.  A synchronous call passes its open span,
+        # which the caller ends; a ``*_begin`` call has none, so its sid
+        # is reserved at submit and the span completed at harvest.
         self.trace_sid: Optional[int] = None
         self.trace_ctx = None
+        self.call_span = None
 
 
 class SrpcClientBase(_SrpcEndpointBase):
     """Base class of generated client stubs.
 
     Generated subclasses carry one plain method per IDL procedure
-    (synchronous call) and, for pipelined bindings, one ``*_begin``
-    method per procedure that submits the call and returns an
-    :class:`SrpcTicket`; :meth:`finish` completes it.  At most
-    ``window`` tickets can be outstanding; submitting past the window
-    first harvests the frame's previous occupant (classic sliding-
-    window flow control).
+    (synchronous call) and one ``*_begin`` method per procedure that
+    submits the call and returns an :class:`SrpcTicket`; :meth:`finish`
+    completes it.  Both are the same frame protocol: a synchronous call
+    submits and at once harvests its own ticket, so on a one-frame
+    binding it is the paper's single-buffer call.  At most ``window``
+    tickets can be outstanding; submitting past the window first
+    harvests the frame's previous occupant (classic sliding-window flow
+    control).
     """
 
     def __init__(self, system, proc, **kwargs):
         super().__init__(system, proc, **kwargs)
         self._seq = 0
         self.calls_made = 0
-        self._call_xmit = 0
         # Pipelining state: frame index -> outstanding (unharvested)
         # ticket, per-frame hardened transmission counters, and the
         # depth statistics the workload metrics report.
@@ -329,75 +332,9 @@ class SrpcClientBase(_SrpcEndpointBase):
             raise SrpcError("bind failed: %s" % reply.error)
         yield from self._bind_to_peer(reply.server_node, reply.buffer_export)
 
-    def _transmit_call(self, call_word: bytes, trace_words: bytes = b""):
-        """One hardened transmission: the full args image, the call word
-        and the [xmit][crc] stamp.  Idempotent — the retry loop replays
-        it until the server's CRC check accepts the call."""
-        args_img = yield from self._read(0, self.call_word_off)
-        crc = crc32_of(args_img, call_word, trace_words)
-        self._call_xmit = (self._call_xmit + 1) & 0xFFFFFFFF
-        # Stamp last: the server treats a stamp bump whose CRC matches
-        # the already-present call image as the trigger, so the image
-        # must land first.
-        yield from self._write(0, args_img + call_word)
-        if trace_words:
-            yield from self._write(self.tx_off, trace_words)
-        yield from self._write(self.hx_off, struct.pack("<II", self._call_xmit, crc))
-
-    def _exchange_hardened(self, call_word, writes, expected_ok, expected_bad,
-                           trace_words: bytes = b""):
-        """Retransmit the call until a CRC-valid reply lands; returns
-        (return word, args image, ret image) or raises SrpcTimeoutError.
-
-        The reply CRC covers the whole args area (where the server's
-        OUT/INOUT stores land), the result area, and the return word —
-        so a corrupted reply is rejected and served again from the
-        server's replay log."""
-        proc = self.proc
-        for offset, data in _coalesce(writes):
-            yield from self._write(offset, data)
-        base_us = _RETRY_BASE_US + _RETRY_PER_BYTE_US * self.call_word_off
-        ret_span = self.return_word_off - self.ret_off
-        window_off = self.return_word_off
-        window_len = self.hx_off + _HARDENED_EXT_BYTES - window_off
-        xm_lo = self.hx_off + 8 - window_off
-        for attempt in range(MAX_XMIT):
-            yield from self._transmit_call(call_word, trace_words)
-            deadline = proc.sim.now + attempt_timeout_us(base_us, attempt)
-            while True:
-                remaining = deadline - proc.sim.now
-                if remaining <= 0:
-                    break
-                snapshot = proc.peek(self.buf + window_off + xm_lo, 4)
-
-                def fresh(w, snapshot=snapshot):
-                    return (w[:4] in (expected_ok, expected_bad)
-                            or w[xm_lo : xm_lo + 4] != snapshot)
-
-                window = yield from bounded_poll(
-                    proc, self.buf + window_off, window_len, fresh, remaining
-                )
-                if window is None:
-                    break
-                result = window[:4]
-                if result not in (expected_ok, expected_bad):
-                    continue  # only the xmit stamp moved; revalidate later
-                # Candidate reply: validate the CRC over full images.
-                args_img = yield from self._read(0, self.call_word_off)
-                ret_img = yield from self._read(self.ret_off, ret_span)
-                raw = yield from self._read(self.hx_off + 8, 8)
-                _ret_xmit, ret_crc = struct.unpack("<II", raw)
-                if crc32_of(args_img, ret_img, result) == ret_crc:
-                    return result, args_img, ret_img
-                # Corrupt or partial: wait for the server's next replay.
-        raise SrpcTimeoutError(
-            "no valid reply for seq %d after %d transmissions"
-            % (self._seq, MAX_XMIT)
-        )
-
     def _invoke(self, proc_id: int, writes: List[Tuple[int, bytes]],
                 ret_bytes: int, out_reads: List[Tuple[int, int]]):
-        """One call: marshal, flag, wait, collect.
+        """One synchronous call: submit, then harvest the same ticket.
 
         ``writes``: (offset, bytes) argument stores.  The call word is
         appended and everything is coalesced into maximal consecutive
@@ -405,19 +342,13 @@ class SrpcClientBase(_SrpcEndpointBase):
         into a single burst ('all of the arguments and the flag can be
         combined into a single packet by the client-side hardware').
         ``ret_bytes``: return-slot bytes to read back (0 for void).
-        ``out_reads``: (offset, nbytes) OUT/INOUT slots to read back.
-        Returns [ret_raw?] + out slot bytes, in order.
+        ``out_reads``: (offset, nbytes, variable) OUT/INOUT slots to
+        read back.  Returns [ret_raw?] + out slot bytes, in order.
+        Outstanding tickets are harvested first, so per-binding order
+        holds.
         """
-        if self.window > 1:
-            # Pipelined binding: a synchronous call is submit + finish
-            # behind every outstanding ticket, so per-binding order holds.
+        if self._frames:
             yield from self.drain()
-            ticket = yield from self._submit(proc_id, writes, ret_bytes,
-                                             out_reads)
-            yield from self._harvest(ticket)
-            if ticket.bad:
-                raise SrpcError("server has no procedure %d" % proc_id)
-            return ticket.raw
         proc = self.proc
         span = None
         if proc.tracer.enabled:
@@ -426,92 +357,35 @@ class SrpcClientBase(_SrpcEndpointBase):
                 data={"proc": proc_id},
             )
             _tag_span(span, proc.trace_ctx)
-        trace_words = self._trace_words(
-            proc.trace_ctx, span.sid if span is not None else 0)
         try:
-            # Deferred charge: everything between here and the first
-            # buffer write is pure marshaling, so the stub cost folds
-            # into that write's deadline (one wake instead of two).
-            proc.charge(proc.config.costs.srpc_client_stub)
-            self._seq = (self._seq % 0xFFFF) + 1
-            call_word = struct.pack("<I", (self._seq << 16) | proc_id)
-            expected_ok = struct.pack("<I", (self._seq << 16) | _STATUS_OK)
-            expected_bad = struct.pack(
-                "<I", (self._seq << 16) | _STATUS_NO_PROC)
-            if self.hardened:
-                result, args_img, ret_img = yield from self._exchange_hardened(
-                    call_word, writes, expected_ok, expected_bad, trace_words
-                )
-                if result == expected_bad:
-                    raise SrpcError("server has no procedure %d" % proc_id)
-                # Everything was read (and CRC-validated) as full images;
-                # slice the slots out instead of re-reading them.
-                out = []
-                if ret_bytes:
-                    out.append(ret_img[:ret_bytes])
-                for offset, nbytes, variable in out_reads:
-                    raw = args_img[offset : offset + nbytes]
-                    if variable:
-                        (length,) = struct.unpack_from("<I", raw)
-                        length = min(length, nbytes - 4)
-                        raw = raw[: 4 + length]
-                    out.append(raw)
-                self.calls_made += 1
-                return out
-            if trace_words:
-                # The trace words sit past the call word, so they cannot
-                # join the coalesced stream — they must land before the
-                # call word wakes the server's poll.
-                yield from self._write(self.tx_off, trace_words)
-            for offset, data in _coalesce(writes
-                                          + [(self.call_word_off, call_word)]):
-                yield from self._write(offset, data)
-            result = yield from proc.poll(
-                self.buf + self.return_word_off, 4,
-                lambda b: b in (expected_ok, expected_bad),
-            )
-            if result == expected_bad:
-                raise SrpcError("server has no procedure %d" % proc_id)
-            out = []
-            if ret_bytes:
-                data = yield from self._read(self.ret_off, ret_bytes)
-                out.append(data)
-            for offset, nbytes, variable in out_reads:
-                if variable:
-                    # Bounded-variable slot: read the length word, then only
-                    # the bytes actually present (an empty INOUT costs one
-                    # word, not the whole bound).
-                    lraw = yield from self._read(offset, 4)
-                    (length,) = struct.unpack("<I", lraw)
-                    length = min(length, nbytes - 4)
-                    data = lraw
-                    if length:
-                        rest = yield from self._read(offset + 4, length)
-                        data += rest
-                else:
-                    data = yield from self._read(offset, nbytes)
-                out.append(data)
-            self.calls_made += 1
-            return out
+            ticket = yield from self._submit(proc_id, writes, ret_bytes,
+                                             out_reads, span)
+            yield from self._harvest(ticket)
         finally:
-            # finally: fault-raised timeouts and SrpcError exits must
-            # not leak the call span (span-balance audit).
+            # finally: fault-raised timeouts must not leak the call span
+            # (span-balance audit).
             proc.tracer.end(span)
+        if ticket.bad:
+            raise SrpcError("server has no procedure %d" % proc_id)
+        return ticket.raw
 
-    # -- pipelined (windowed) call machinery --------------------------------
     def _submit(self, proc_id: int, writes: List[Tuple[int, bytes]],
-                ret_bytes: int, out_reads: List[Tuple[int, int]]):
-        """Issue one pipelined call and return its :class:`SrpcTicket`.
+                ret_bytes: int, out_reads: List[Tuple[int, int]],
+                call_span=None):
+        """Issue one call into its frame and return its :class:`SrpcTicket`.
 
         If the call's frame still holds an unharvested ticket (the
         window is full) that occupant is harvested first — sliding-
         window flow control.  The arguments and call word land in the
         call's own frame; the reply is collected later by
-        :meth:`finish` or :meth:`drain`.
+        :meth:`_harvest`.  ``call_span`` is a synchronous caller's open
+        call span.
         """
         proc = self.proc
-        # Deferred into the frame's first buffer access (see _invoke);
-        # a full-window harvest consumes it at its first poll check.
+        # Deferred charge: everything between here and the first buffer
+        # write is pure marshaling, so the stub cost folds into that
+        # write's deadline (one wake instead of two); a full-window
+        # harvest consumes it at its first poll check.
         proc.charge(proc.config.costs.srpc_client_stub)
         self._seq = (self._seq % 0xFFFF) + 1
         seq = self._seq
@@ -522,14 +396,14 @@ class SrpcClientBase(_SrpcEndpointBase):
         call_word = struct.pack("<I", (seq << 16) | proc_id)
         ticket = SrpcTicket(seq, proc_id, frame, ret_bytes, out_reads,
                             proc.sim.now)
-        if proc.tracer.enabled:
-            # The call span is completed at harvest time, but its sid
-            # must ride the wire now — reserve it up front.
-            ticket.trace_ctx = proc.trace_ctx
+        ticket.call_span = call_span
+        ticket.trace_ctx = proc.trace_ctx
+        if call_span is not None:
+            ticket.trace_sid = call_span.sid
+        elif proc.tracer.enabled:
             ticket.trace_sid = proc.tracer.reserve_sid()
         trace_words = self._trace_words(ticket.trace_ctx,
                                         ticket.trace_sid or 0)
-        prev_base = self._active_base
         self._active_base = frame * self.frame_stride
         try:
             if self.hardened:
@@ -538,29 +412,41 @@ class SrpcClientBase(_SrpcEndpointBase):
                 yield from self._transmit_frame(frame, call_word, trace_words)
             else:
                 if trace_words:
+                    # The trace words sit past the call word, so they
+                    # cannot join the coalesced stream — they must land
+                    # before the call word wakes the server's poll.
                     yield from self._write(self.tx_off, trace_words)
                 for offset, data in _coalesce(
                         writes + [(self.call_word_off, call_word)]):
                     yield from self._write(offset, data)
         finally:
-            self._active_base = prev_base
+            self._active_base = 0
         self._frames[frame] = ticket
-        self.submits += 1
-        depth = len(self._frames)
-        if depth > self.inflight_high_water:
-            self.inflight_high_water = depth
-        self._depth_total += depth
+        if self.window > 1:
+            # Depth statistics describe pipelining; a one-frame binding
+            # reports none.
+            self.submits += 1
+            depth = len(self._frames)
+            if depth > self.inflight_high_water:
+                self.inflight_high_water = depth
+            self._depth_total += depth
         return ticket
 
     def _transmit_frame(self, frame: int, call_word: bytes,
                         trace_words: bytes = b""):
-        """One hardened transmission of a frame's call image.  The
-        caller must have ``_active_base`` set to the frame; per-frame
-        xmit counters keep concurrent calls' replays distinguishable."""
+        """One hardened transmission of a frame's call image: the full
+        args image, the call word and the [xmit][crc] stamp.  Idempotent
+        — the retry loop replays it until the server's CRC check
+        accepts the call.  The caller must have ``_active_base`` set to
+        the frame; per-frame xmit counters keep concurrent calls'
+        replays distinguishable."""
         args_img = yield from self._read(0, self.call_word_off)
         crc = crc32_of(args_img, call_word, trace_words)
         xmit = (self._call_xmits.get(frame, 0) + 1) & 0xFFFFFFFF
         self._call_xmits[frame] = xmit
+        # Stamp last: the server treats a stamp bump whose CRC matches
+        # the already-present call image as the trigger, so the image
+        # must land first.
         yield from self._write(0, args_img + call_word)
         if trace_words:
             yield from self._write(self.tx_off, trace_words)
@@ -575,56 +461,56 @@ class SrpcClientBase(_SrpcEndpointBase):
         expected_ok = struct.pack("<I", (seq << 16) | _STATUS_OK)
         expected_bad = struct.pack("<I", (seq << 16) | _STATUS_NO_PROC)
         base = ticket.frame * self.frame_stride
-        prev_base = self._active_base
         self._active_base = base
         try:
+            out = []
             if self.hardened:
                 call_word = struct.pack("<I", (seq << 16) | ticket.proc_id)
                 result, args_img, ret_img = yield from self._retry_frame(
                     ticket, call_word, expected_ok, expected_bad,
                     self._trace_words(ticket.trace_ctx,
                                       ticket.trace_sid or 0))
-                out = []
+                # Everything was read (and CRC-validated) as full
+                # images; slice the slots out instead of re-reading.
                 if ticket.ret_bytes:
                     out.append(ret_img[: ticket.ret_bytes])
                 for offset, nbytes, variable in ticket.out_reads:
                     raw = args_img[offset : offset + nbytes]
                     if variable:
                         (length,) = struct.unpack_from("<I", raw)
-                        length = min(length, nbytes - 4)
-                        raw = raw[: 4 + length]
+                        raw = raw[: 4 + min(length, nbytes - 4)]
                     out.append(raw)
             else:
                 result = yield from proc.poll(
                     self.buf + base + self.return_word_off, 4,
                     lambda b: b in (expected_ok, expected_bad),
                 )
-                out = []
                 if ticket.ret_bytes:
-                    data = yield from self._read(self.ret_off,
-                                                 ticket.ret_bytes)
-                    out.append(data)
+                    out.append((yield from self._read(self.ret_off,
+                                                      ticket.ret_bytes)))
                 for offset, nbytes, variable in ticket.out_reads:
                     if variable:
-                        lraw = yield from self._read(offset, 4)
-                        (length,) = struct.unpack("<I", lraw)
+                        # Bounded-variable slot: read the length word,
+                        # then only the bytes actually present (an empty
+                        # INOUT costs one word, not the whole bound).
+                        data = yield from self._read(offset, 4)
+                        (length,) = struct.unpack("<I", data)
                         length = min(length, nbytes - 4)
-                        data = lraw
                         if length:
-                            rest = yield from self._read(offset + 4, length)
-                            data += rest
+                            data += yield from self._read(offset + 4,
+                                                          length)
                     else:
                         data = yield from self._read(offset, nbytes)
                     out.append(data)
         finally:
-            self._active_base = prev_base
+            self._active_base = 0
         ticket.raw = out
         ticket.bad = result == expected_bad
         ticket.done = True
         if self._frames.get(ticket.frame) is ticket:
             del self._frames[ticket.frame]
         self.calls_made += 1
-        if proc.tracer.enabled:
+        if proc.tracer.enabled and ticket.call_span is None:
             data = {"proc": ticket.proc_id, "seq": seq}
             if ticket.trace_ctx is not None:
                 data["tid"] = ticket.trace_ctx[0]
@@ -638,9 +524,16 @@ class SrpcClientBase(_SrpcEndpointBase):
     def _retry_frame(self, ticket, call_word, expected_ok, expected_bad,
                      trace_words: bytes = b""):
         """Hardened harvest: wait for a CRC-valid reply in the ticket's
-        frame, retransmitting its call image on timeout.  The submit
-        itself counts as the first transmission, so attempt 0 only
-        waits.  The caller must have ``_active_base`` on the frame."""
+        frame, retransmitting its call image on timeout; returns
+        (return word, args image, ret image) or raises SrpcTimeoutError.
+        The submit itself counts as the first transmission, so attempt
+        0 only waits.  The caller must have ``_active_base`` on the
+        frame.
+
+        The reply CRC covers the whole args area (where the server's
+        OUT/INOUT stores land), the result area, and the return word —
+        so a corrupted reply is rejected and served again from the
+        server's replay log."""
         proc = self.proc
         base = ticket.frame * self.frame_stride
         base_us = _RETRY_BASE_US + _RETRY_PER_BYTE_US * self.call_word_off
@@ -752,29 +645,27 @@ class SrpcServerBase(_SrpcEndpointBase):
     def __init__(self, system, proc, impl, **kwargs):
         super().__init__(system, proc, **kwargs)
         self.impl = impl
-        self._last_seq = 0
         self.calls_served = 0
-        # Hardened replay state: the exact (offset, bytes) stores of the
-        # last reply (OUT/INOUT sets included), so a duplicate call —
-        # the client never saw our answer — can be answered again even
-        # after its retransmission clobbered the buffer.
-        self._reply_log: List[Tuple[int, bytes]] = []
-        self._reply_crc = 0
-        self._ret_xmit = 0
-        self._call_xmit_seen = 0
-        # Windowed serving state: the next sequence number to serve and
-        # the per-frame mirrors of the replay machinery above.
+        # Serving state: the next sequence number to serve and the last
+        # one served in each frame.
         self._next_seq = 1
         self._frame_seqs: Dict[int, int] = {}
+        # Hardened replay state, per frame: the exact (offset, bytes)
+        # stores of the last reply (OUT/INOUT sets included), so a
+        # duplicate call — the client never saw our answer — can be
+        # answered again even after its retransmission clobbered the
+        # buffer; that reply's CRC and stamp counter; and the last call
+        # stamp acted on.  ``_reply_log`` is the log being recorded.
+        self._reply_log: List[Tuple[int, bytes]] = []
         self._reply_logs: Dict[int, List[Tuple[int, bytes]]] = {}
         self._reply_crcs: Dict[int, int] = {}
         self._ret_xmits: Dict[int, int] = {}
-        self._call_xmit_seen_f: Dict[int, int] = {}
+        self._call_xmits_seen: Dict[int, int] = {}
 
     def _write(self, offset: int, data: bytes):
         if self.hardened:
-            # Log absolute offsets so a windowed frame's replay works
-            # after _active_base has been reset (base 0 at window=1).
+            # Log absolute offsets so a frame's replay works after
+            # _active_base has been reset.
             self._reply_log.append((self._active_base + offset, bytes(data)))
         yield from super()._write(offset, data)
 
@@ -800,27 +691,32 @@ class SrpcServerBase(_SrpcEndpointBase):
         yield from self._bind_to_peer(request.client_node, request.buffer_export)
 
     def run(self, max_calls: Optional[int] = None):
-        """The server loop: poll the call word, dispatch, flag return."""
-        if self.window > 1:
-            yield from self._run_windowed(max_calls)
-            return
+        """The server loop: poll the call word, dispatch, flag return.
+
+        Calls are served strictly in sequence order, each in its own
+        frame.  They travel one AU binding and land in issue order, so
+        waiting on seq *n* before *n + 1* never deadlocks; each reply
+        lands in its own frame, which lets the client collect out of
+        order."""
         proc = self.proc
         served = 0
         while max_calls is None or served < max_calls:
+            frame = (self._next_seq - 1) % self.window
+            base = frame * self.frame_stride
             if self.hardened:
-                word = yield from self._await_call_hardened()
+                word = yield from self._await_call(frame)
             else:
+                last = self._frame_seqs.get(frame, 0)
                 raw = yield from proc.poll(
-                    self.buf + self.call_word_off, 4,
-                    lambda b: (struct.unpack("<I", b)[0] >> 16) != self._last_seq
-                    and struct.unpack("<I", b)[0] != 0,
+                    self.buf + base + self.call_word_off, 4,
+                    lambda b: _is_new_call(struct.unpack("<I", b)[0], last),
                 )
                 word = struct.unpack("<I", raw)[0]
             seq, proc_id = word >> 16, word & 0xFFFF
-            self._last_seq = seq
             wire_ctx = None
             if self.traced:
-                tw = yield from self._read(self.tx_off, _TRACE_EXT_BYTES)
+                tw = yield from self._read(base + self.tx_off,
+                                           _TRACE_EXT_BYTES)
                 tid, psid = _TRACE_EXT.unpack(tw)
                 if tid:
                     wire_ctx = (tid, psid)
@@ -828,16 +724,18 @@ class SrpcServerBase(_SrpcEndpointBase):
             if proc.tracer.enabled:
                 span = proc.tracer.begin(
                     "srpc.serve", "serve proc %d" % proc_id,
-                    track=proc.trace_track, data={"proc": proc_id},
+                    track=proc.trace_track,
+                    data={"proc": proc_id, "seq": seq},
                 )
                 _tag_span(span, wire_ctx, cross=True)
-            self._reply_log = []
+            self._reply_log = self._reply_logs[frame] = []
             prev_ctx = proc.trace_ctx
             if wire_ctx is not None:
                 # Downstream work the dispatcher starts (replication,
                 # nested calls) parents under this serve span.
                 proc.trace_ctx = (wire_ctx[0], span.sid if span is not None
                                   else wire_ctx[1])
+            self._active_base = base
             try:
                 # Deferred charge: dispatcher lookup and ParamRef setup
                 # are pure, so the dispatch cost folds into the first
@@ -860,76 +758,6 @@ class SrpcServerBase(_SrpcEndpointBase):
                 for offset, data in _coalesce(writes):
                     yield from self._write(offset, data)
                 if self.hardened:
-                    yield from self._stamp_reply(return_word)
-            finally:
-                proc.trace_ctx = prev_ctx
-                # finally: a fault-raised timeout mid-dispatch must not
-                # leak the serve span (span-balance audit).
-                proc.tracer.end(span)
-            self.calls_served += 1
-            served += 1
-
-    def _run_windowed(self, max_calls: Optional[int] = None):
-        """The pipelined server loop: serve strictly in sequence order.
-
-        Calls travel one AU binding and land in issue order, so waiting
-        on seq *n* before *n + 1* never deadlocks; each reply lands in
-        its own frame, which lets the client collect out of order."""
-        proc = self.proc
-        served = 0
-        while max_calls is None or served < max_calls:
-            expected = self._next_seq
-            frame = (expected - 1) % self.window
-            base = frame * self.frame_stride
-            if self.hardened:
-                word = yield from self._await_call_windowed(
-                    expected, frame, base)
-            else:
-                raw = yield from proc.poll(
-                    self.buf + base + self.call_word_off, 4,
-                    lambda b: (struct.unpack("<I", b)[0] >> 16) == expected,
-                )
-                word = struct.unpack("<I", raw)[0]
-            seq, proc_id = word >> 16, word & 0xFFFF
-            self._last_seq = seq
-            wire_ctx = None
-            if self.traced:
-                tw = yield from self._read(base + self.tx_off,
-                                           _TRACE_EXT_BYTES)
-                tid, psid = _TRACE_EXT.unpack(tw)
-                if tid:
-                    wire_ctx = (tid, psid)
-            span = None
-            if proc.tracer.enabled:
-                span = proc.tracer.begin(
-                    "srpc.serve", "serve proc %d" % proc_id,
-                    track=proc.trace_track,
-                    data={"proc": proc_id, "seq": seq},
-                )
-                _tag_span(span, wire_ctx, cross=True)
-            self._reply_log = []
-            prev_ctx = proc.trace_ctx
-            if wire_ctx is not None:
-                proc.trace_ctx = (wire_ctx[0], span.sid if span is not None
-                                  else wire_ctx[1])
-            self._active_base = base
-            try:
-                # Deferred into the first parameter read (see run()).
-                proc.charge(proc.config.costs.srpc_server_dispatch)
-                dispatcher = getattr(self, "_dispatch_%d" % proc_id, None)
-                status = _STATUS_OK
-                ret_data = b""
-                if dispatcher is None:
-                    status = _STATUS_NO_PROC
-                else:
-                    ret_data = (yield from dispatcher()) or b""
-                return_word = struct.pack("<I", (seq << 16) | status)
-                writes = [(self.return_word_off, return_word)]
-                if ret_data:
-                    writes.insert(0, (self.ret_off, ret_data))
-                for offset, data in _coalesce(writes):
-                    yield from self._write(offset, data)
-                if self.hardened:
                     yield from self._stamp_frame(frame, return_word)
             finally:
                 self._active_base = 0
@@ -938,97 +766,86 @@ class SrpcServerBase(_SrpcEndpointBase):
                 # leak the serve span (span-balance audit).
                 proc.tracer.end(span)
             self._frame_seqs[frame] = seq
-            self._reply_logs[frame] = self._reply_log
-            self._reply_log = []
-            self._next_seq = (expected % 0xFFFF) + 1
+            self._next_seq = (seq % 0xFFFF) + 1
             self.calls_served += 1
             served += 1
 
-    def _await_call_windowed(self, expected: int, frame: int, base: int):
-        """Hardened windowed wait for a CRC-valid call with sequence
-        ``expected`` in its frame.  While waiting, replays any already-
-        served frame whose call image the client demonstrably
-        retransmitted (new xmit stamp, consistent CRC): that frame's
-        reply was lost, and the client's harvest is blocked on it."""
+    def _await_call(self, frame: int):
+        """Hardened wait (bounded) for a CRC-valid new call in ``frame``.
+
+        One poll spans every frame's call word and call stamp; it wakes
+        on a new call word in ``frame`` or on any moved stamp.  A moved
+        stamp over an already-served call whose image is consistent is
+        a genuine retransmission — the client never saw that reply — so
+        the logged reply is replayed.  An inconsistent one is the next
+        call's stamp racing ahead of its image (or corruption);
+        replaying then would clobber the incoming arguments."""
         proc = self.proc
         deadline = proc.sim.now + _SERVE_IDLE_US
         stride = self.frame_stride
-        region_len = stride * self.window
         call_off = self.call_word_off
+        start = self.buf + call_off
+        length = (self.window - 1) * stride + self.hx_off + 8 - call_off
+        stamps = [f * stride + self.hx_off - call_off
+                  for f in range(self.window)]
+        word_lo = frame * stride
+        last = self._frame_seqs.get(frame, 0)
         while True:
             remaining = deadline - proc.sim.now
             if remaining <= 0:
                 raise SrpcTimeoutError(
                     "no call within %.0f us" % _SERVE_IDLE_US
                 )
-            snapshots = [
-                proc.peek(self.buf + f * stride + self.hx_off, 4)
-                for f in range(self.window)
-            ]
+            snapshots = [proc.peek(start + lo, 4) for lo in stamps]
 
             def fresh(region, snapshots=snapshots):
-                word = struct.unpack_from(
-                    "<I", region, frame * stride + call_off)[0]
-                if (word >> 16) == expected and word != 0:
-                    return True
-                for f, snap in enumerate(snapshots):
-                    lo = f * stride + self.hx_off
-                    if region[lo : lo + 4] != snap:
-                        return True
-                return False
+                word = struct.unpack_from("<I", region, word_lo)[0]
+                return _is_new_call(word, last) or any(
+                    region[lo : lo + 4] != snap
+                    for lo, snap in zip(stamps, snapshots))
 
-            region = yield from bounded_poll(
-                proc, self.buf, region_len, fresh, remaining
-            )
+            region = yield from bounded_poll(proc, start, length, fresh,
+                                             remaining)
             if region is None:
                 continue
-            # First sweep the window for retransmissions of calls we
-            # already served — the stamp moved but the seq did not —
-            # and replay their logged replies.
+            accepted = None
             for f in range(self.window):
                 fb = f * stride
                 raw = yield from self._read(fb + call_off, 4)
-                word_f = struct.unpack("<I", raw)[0]
-                seq_f = word_f >> 16
-                if seq_f == 0 or seq_f != self._frame_seqs.get(f):
-                    continue
+                word = struct.unpack("<I", raw)[0]
+                new = _is_new_call(word, self._frame_seqs.get(f, 0))
+                if f != frame and (new or word == 0):
+                    continue  # not served yet: nothing to replay
                 hx = yield from self._read(fb + self.hx_off, 8)
                 call_xmit, call_crc = struct.unpack("<II", hx)
-                if call_xmit == self._call_xmit_seen_f.get(f):
-                    continue
+                replay = (not new and word != 0
+                          and call_xmit != self._call_xmits_seen.get(f, 0)
+                          and self._reply_logs.get(f))
+                if f != frame and not replay:
+                    continue  # the served call's stamp has not moved
                 args_img = yield from self._read(fb, call_off)
                 tw = b""
                 if self.traced:
                     tw = yield from self._read(fb + self.tx_off,
                                                _TRACE_EXT_BYTES)
                 if crc32_of(args_img, raw, tw) != call_crc:
-                    continue  # a new call's stamp racing its image
-                if not self._reply_logs.get(f):
-                    continue
-                self._call_xmit_seen_f[f] = call_xmit
-                yield from self._replay_frame(f)
-            # Then check the expected frame for the next call.
-            fb = frame * stride
-            raw = yield from self._read(fb + call_off, 4)
-            word = struct.unpack("<I", raw)[0]
-            if (word >> 16) != expected or word == 0:
-                continue
-            hx = yield from self._read(fb + self.hx_off, 8)
-            call_xmit, call_crc = struct.unpack("<II", hx)
-            args_img = yield from self._read(fb, call_off)
-            tw = b""
-            if self.traced:
-                tw = yield from self._read(fb + self.tx_off,
-                                           _TRACE_EXT_BYTES)
-            if crc32_of(args_img, raw, tw) != call_crc:
-                continue  # corrupt arguments: await the retransmission
-            self._call_xmit_seen_f[frame] = call_xmit
-            return word
+                    continue  # corrupt, or a stamp racing its image
+                if new:
+                    self._call_xmits_seen[f] = call_xmit
+                    accepted = word
+                elif replay:
+                    self._call_xmits_seen[f] = call_xmit
+                    yield from self._replay_frame(f)
+            if accepted is not None:
+                return accepted
 
     def _stamp_frame(self, frame: int, return_word: bytes):
-        """Checksum and stamp one frame's reply.  The caller must have
-        ``_active_base`` on the frame; per-frame stamp/CRC state lets
-        the client validate every in-flight frame independently."""
+        """Checksum one frame's reply state and publish its [xmit][crc]
+        stamp.  The CRC covers the args area (OUT/INOUT stores live
+        there), the result area and the return word — everything the
+        client reads.  The caller must have ``_active_base`` on the
+        frame; per-frame stamp/CRC state lets the client validate every
+        in-flight frame independently."""
         args_img = yield from self._read(0, self.call_word_off)
         ret_img = yield from self._read(
             self.ret_off, self.return_word_off - self.ret_off
@@ -1042,8 +859,10 @@ class SrpcServerBase(_SrpcEndpointBase):
         )
 
     def _replay_frame(self, frame: int):
-        """Rewrite one frame's logged reply stores (absolute offsets),
-        then bump its stamp — runs between calls, with base 0."""
+        """Rewrite every logged store of a frame's last reply (absolute
+        offsets), then bump its stamp — restores OUT slots a
+        retransmitted call image clobbered.  Runs between calls, with
+        base 0."""
         for offset, data in self._reply_logs[frame]:
             yield from _SrpcEndpointBase._write(self, offset, data)
         xmit = (self._ret_xmits.get(frame, 0) + 1) & 0xFFFFFFFF
@@ -1053,92 +872,18 @@ class SrpcServerBase(_SrpcEndpointBase):
             struct.pack("<II", xmit, self._reply_crcs[frame]),
         )
 
-    def _await_call_hardened(self):
-        """Wait (bounded) for a CRC-valid new call word; replays the
-        last reply when the client retransmits an already-served call."""
-        proc = self.proc
-        deadline = proc.sim.now + _SERVE_IDLE_US
-        window_off = self.call_word_off
-        window_len = self.hx_off + 8 - window_off
-        xm_lo = self.hx_off - window_off
-        while True:
-            remaining = deadline - proc.sim.now
-            if remaining <= 0:
-                raise SrpcTimeoutError(
-                    "no call within %.0f us" % _SERVE_IDLE_US
-                )
-            snapshot = proc.peek(self.buf + self.hx_off, 4)
-
-            def fresh(w, snapshot=snapshot):
-                word = struct.unpack_from("<I", w)[0]
-                return ((word >> 16) != self._last_seq and word != 0) \
-                    or w[xm_lo : xm_lo + 4] != snapshot
-
-            window = yield from bounded_poll(
-                proc, self.buf + window_off, window_len, fresh, remaining
-            )
-            if window is None:
-                continue
-            raw = yield from self._read(self.call_word_off, 4)
-            word = struct.unpack("<I", raw)[0]
-            hx = yield from self._read(self.hx_off, 8)
-            call_xmit, call_crc = struct.unpack("<II", hx)
-            seq = word >> 16
-            args_img = yield from self._read(0, self.call_word_off)
-            tw = b""
-            if self.traced:
-                tw = yield from self._read(self.tx_off, _TRACE_EXT_BYTES)
-            consistent = crc32_of(args_img, raw, tw) == call_crc
-            if seq == self._last_seq or word == 0:
-                # A consistent image with the seq we already served is a
-                # genuine retransmission: the client never saw the reply
-                # — serve it again.  An inconsistent one is the next
-                # call's stamp racing ahead of its image (or corruption);
-                # replaying now would clobber the incoming arguments.
-                if (consistent and seq == self._last_seq and word != 0
-                        and call_xmit != self._call_xmit_seen
-                        and self._reply_log):
-                    self._call_xmit_seen = call_xmit
-                    yield from self._replay_reply()
-                continue
-            if not consistent:
-                continue  # corrupt arguments: await the retransmission
-            self._call_xmit_seen = call_xmit
-            return word
-
-    def _stamp_reply(self, return_word: bytes):
-        """Checksum the reply state and publish the [xmit][crc] stamp.
-
-        The CRC covers the args area (OUT/INOUT stores live there), the
-        result area and the return word — everything the client reads."""
-        args_img = yield from self._read(0, self.call_word_off)
-        ret_img = yield from self._read(
-            self.ret_off, self.return_word_off - self.ret_off
-        )
-        self._reply_crc = crc32_of(args_img, ret_img, return_word)
-        self._ret_xmit = (self._ret_xmit + 1) & 0xFFFFFFFF
-        yield from _SrpcEndpointBase._write(
-            self, self.hx_off + 8,
-            struct.pack("<II", self._ret_xmit, self._reply_crc),
-        )
-
-    def _replay_reply(self):
-        """Rewrite every store of the last reply, then bump the stamp —
-        restores OUT slots a retransmitted call image clobbered."""
-        for offset, data in self._reply_log:
-            yield from _SrpcEndpointBase._write(self, offset, data)
-        self._ret_xmit = (self._ret_xmit + 1) & 0xFFFFFFFF
-        yield from _SrpcEndpointBase._write(
-            self, self.hx_off + 8,
-            struct.pack("<II", self._ret_xmit, self._reply_crc),
-        )
-
     def _ref(self, proc_name: str, param_name: str) -> ParamRef:
         procedure = self.IDL.procedure(proc_name)
         for param in procedure.params:
             if param.name == param_name:
                 return ParamRef(self, param)
         raise SrpcError("no parameter %s in %s" % (param_name, proc_name))
+
+
+def _is_new_call(word: int, last_seq: int) -> bool:
+    """Whether a frame's call word holds a call not yet served there:
+    nonzero, with a sequence number other than the frame's last."""
+    return word != 0 and (word >> 16) != last_seq
 
 
 def _coalesce(writes: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:

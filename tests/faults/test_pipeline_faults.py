@@ -10,8 +10,12 @@ against the expected function of its own arguments, so cross-matched
 replies fail as corruption rather than passing by luck.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.sim.faults import FaultPlan
+from repro.workload import WorkloadSpec, run_workload
 from tests.faults import harness
 
 pytestmark = pytest.mark.slow
@@ -50,3 +54,22 @@ def test_pipelined_same_seed_is_deterministic(seed):
     first, _ = harness.run_srpc_pipelined_exchange(seed)
     second, _ = harness.run_srpc_pipelined_exchange(seed)
     assert first == second
+
+
+PIPELINED_KV = WorkloadSpec(transport="srpc", arrival="open",
+                            load=100_000.0, concurrency=4, requests=60,
+                            keys=64, pipeline_window=4)
+
+
+@pytest.mark.parametrize("seed", range(460, 490))
+def test_pipelined_kv_resolves_every_request_under_faults(seed):
+    """The KV service over 4-deep SHRIMP RPC windows under a seeded
+    fault plan: pipelined submits, synchronous calls and the hardened
+    server loop meet the faults together, and the replica walk still
+    answers every request."""
+    plan = FaultPlan.from_seed(seed, horizon_us=3000.0, count=8)
+    report = run_workload(replace(PIPELINED_KV, seed=seed), fault_plan=plan)
+    assert (report.completed + report.errors + report.rejected
+            == PIPELINED_KV.requests)
+    assert report.errors == 0
+    assert report.corruptions == 0

@@ -296,3 +296,44 @@ def test_pipelining_overlaps_round_trips():
     seq_us = run_pipe(sequential, window=1, max_calls=4)["result"]
     pipe_us = run_pipe(pipelined, window=4, max_calls=4)["result"]
     assert pipe_us < seq_us
+
+
+def _sync_call_tree(window):
+    """The span tree under one bare synchronous call's ``srpc.call``
+    span, as nested ``(category, children)`` pairs."""
+    system = make_system()
+    system.machine.tracer.enabled = True
+    client_cls, server_cls, _ = compile_stubs(PIPE_IDL)
+
+    def server(proc):
+        srv = server_cls(system, proc, PipeImpl(), window=window)
+        yield from srv.serve_binding(port=4)
+        yield from srv.run(max_calls=1)
+
+    def client(proc):
+        cl = client_cls(system, proc, window=window)
+        yield from cl.bind(1, port=4)
+        assert (yield from cl.add(2, 3)) == 5
+
+    system.run_processes([system.spawn(1, server), system.spawn(0, client)])
+    spans = system.machine.tracer.spans
+    children = {}
+    for span in spans:
+        children.setdefault(span.parent, []).append(span)
+
+    def tree(span):
+        return (span.category,
+                [tree(child) for child in children.get(span.sid, [])])
+
+    (call,) = [s for s in spans if s.category == "srpc.call"]
+    return tree(call)
+
+
+def test_sync_call_has_one_span_tree_at_every_window():
+    """A synchronous call is a one-frame pipelined call at any window,
+    so its buffer stores and its poll nest under ``srpc.call`` on a
+    4-deep binding exactly as on a 1-deep one."""
+    narrow = _sync_call_tree(1)
+    assert {category for category, _ in narrow[1]} >= {"cpu.store",
+                                                       "cpu.poll"}
+    assert _sync_call_tree(4) == narrow
