@@ -9,7 +9,7 @@ payload reaching the application, or a hang past ``WATCHDOG_US`` of
 simulated time — propagates and fails the calling test.
 """
 
-from repro.libs.nx import VARIANTS, nx_world
+from repro.libs.nx import ANY_TYPE, VARIANTS, nx_world
 from repro.libs.rpc import VrpcServer, clnt_create
 from repro.libs.rpc.vrpc import RpcTimeout
 from repro.libs.shrimp_rpc import SrpcTimeoutError, compile_stubs
@@ -164,6 +164,122 @@ def run_vrpc_exchange(seed, automatic=True, calls=3, count=6,
     s = system.spawn(1, server)
     c = system.spawn(0, client)
     system.run_processes([s, c], timeout=WATCHDOG_US)
+    return outcome, system
+
+
+def _plan(seed, horizon_us, count):
+    """A seeded plan, or None (fault-free) when ``seed`` is None."""
+    if seed is None:
+        return None
+    return FaultPlan.from_seed(seed, horizon_us=horizon_us, count=count)
+
+
+def run_vrpc_multiclient(seed=None, automatic=True, clients=3, calls=5,
+                         count=8, horizon_us=4000.0, gap_us=17.0):
+    """``clients`` VRPC clients calling one ``svc_run`` server.
+
+    The server (node 1) binds every client before serving, so each
+    wait multiplexes all the transports.  Client ``k`` sits on its own
+    node and computes ``gap_us * node`` between calls, staggering the
+    arrivals.  ``seed=None`` runs fault-free.
+    """
+    system = make_system(fault_plan=_plan(seed, horizon_us, count))
+    nodes = [n for n in range(clients + 1) if n != 1]
+    outcome = {}
+
+    def server(proc):
+        srv = VrpcServer(system, proc, VRPC_PROG, VRPC_VERS,
+                         automatic=automatic)
+        srv.register(
+            1,
+            lambda s: s[::-1],
+            decode_args=lambda dec: dec.unpack_string(),
+            encode_result=lambda enc, v: enc.pack_string(v),
+        )
+        for _ in nodes:
+            ok = yield from srv.accept_binding()
+            assert ok
+        try:
+            yield from srv.svc_run(max_calls=clients * calls)
+            outcome["server"] = "ok"
+        except RpcTimeout:
+            outcome["server"] = "timeout"
+
+    def client(node):
+        def body(proc):
+            handle = yield from clnt_create(system, proc, 1, VRPC_PROG,
+                                            VRPC_VERS, automatic=automatic)
+            try:
+                for i in range(calls):
+                    msg = "n%d-call-%d-%s" % (
+                        node, i, payload_for((seed or 0) + node, 8).hex())
+                    result = yield from handle.call(
+                        1, msg,
+                        encode_args=lambda enc, v: enc.pack_string(v),
+                        decode_result=lambda dec: dec.unpack_string(),
+                    )
+                    assert result == msg[::-1], \
+                        "reply for another call at node %d" % node
+                    yield from proc.compute(gap_us * node)
+                outcome["client%d" % node] = "ok"
+            except RpcTimeout:
+                outcome["client%d" % node] = "timeout"
+
+        return body
+
+    handles = [system.spawn(1, server)]
+    handles += [system.spawn(n, client(n), name="vrpc-client-%d" % n)
+                for n in nodes]
+    system.run_processes(handles, timeout=WATCHDOG_US)
+    return outcome, system
+
+
+def run_nx_ring(seed=None, variant="AU-1copy", ranks=4, rounds=3,
+                nbytes=256, count=8, horizon_us=4000.0):
+    """An NX ring: each rank sends to the next and receives from any
+    source, for ``rounds`` rounds.
+
+    Even ranks send first and odd ranks receive first, so two messages
+    travel at once without the ring deadlocking on hardened
+    (synchronous) sends.  Every blocking receive sleeps on all the
+    rank's connections.  ``seed=None`` runs fault-free.
+    """
+    system = make_system(fault_plan=_plan(seed, horizon_us, count))
+    room = max(nbytes, PAGE)
+    outcome = {}
+
+    def message(rank, rnd):
+        return payload_for((seed or 0) + 10 * rank + rnd, nbytes)
+
+    def program(rank):
+        def body(nx):
+            src = nx.proc.space.mmap(room)
+            dst = nx.proc.space.mmap(room)
+            prev, nxt = (rank - 1) % ranks, (rank + 1) % ranks
+            try:
+                # Start together: connection setup staggers the ranks by
+                # milliseconds, which would leave early ones idle.
+                yield from nx.gsync()
+                for rnd in range(rounds):
+                    nx.proc.poke(src, message(rank, rnd))
+                    if rank % 2 == 0:
+                        yield from nx.csend(rnd, src, nbytes, to=nxt)
+                    size = yield from nx.crecv(ANY_TYPE, dst, room)
+                    assert (nx.infonode(), nx.infotype()) == (prev, rnd), \
+                        "out-of-order message at rank %d" % rank
+                    assert nx.proc.peek(dst, size) == message(prev, rnd), \
+                        "corrupt payload at rank %d" % rank
+                    if rank % 2 == 1:
+                        yield from nx.csend(rnd, src, nbytes, to=nxt)
+                outcome["rank%d" % rank] = "ok"
+            except VmmcTimeoutError:
+                outcome["rank%d" % rank] = "timeout"
+
+        return body
+
+    handles = nx_world(system, [program(r) for r in range(ranks)],
+                       variant=VARIANTS[variant])
+    system.run_processes(handles, timeout=WATCHDOG_US)
     return outcome, system
 
 
