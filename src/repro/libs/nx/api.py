@@ -29,9 +29,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...hardware.config import CacheMode
 from ...kernel.process import UserProcess
 from ...kernel.system import ShrimpSystem
-from ...sim import Event
 from ...testbed import Rendezvous
 from ...vmmc import VmmcEndpoint, attach
+from ..recovery import IDLE_US
 from .connection import (
     ANY_TYPE,
     CHUNK_TYPE,
@@ -48,11 +48,6 @@ __all__ = ["NXVariant", "NXProcess", "MsgId", "nx_world", "VARIANTS",
            "ANY_TYPE", "ANY_NODE", "NXTimeoutError"]
 
 ANY_NODE = -1
-
-# How long a hardened blocking receive sleeps with no message, CRC
-# rewrite, or replay request arriving before declaring the peer lost.
-# Generously above a sender's whole retry budget.
-_RECV_IDLE_US = 1_000_000.0
 
 VARIANTS: Dict[str, NXVariant] = {
     v.name: v
@@ -380,45 +375,24 @@ class NXProcess:
         expects is unchanged — and bounds the sleep, raising
         :class:`NXTimeoutError` instead of hanging on a dead peer.
         """
-        hardened = self.proc.faults.enabled
-        woke = Event(self.proc.sim, name="nx-wait")
-        watches = []
-        memory = self.proc.node.memory
-        for conn in self.connections.values():
-            ranges = [(conn.descriptor_stamp_vaddr(), 4)]
-            if hardened:
+        proc = self.proc
+        conns = self.connections.values()
+        ranges = []
+        for conn in conns:
+            ranges.append((conn.descriptor_stamp_vaddr(), 4))
+            if conn.hardened:
                 ranges.extend(conn.hardened_watch_ranges())
-            for vaddr, nbytes in ranges:
-                for paddr, length in self.proc.space.translate(vaddr, nbytes):
-                    watches.append(
-                        memory.add_watch(
-                            paddr, length,
-                            lambda p, n: None if woke.triggered else woke.succeed(None),
-                        )
-                    )
-        # Rescan once before sleeping (a descriptor may have landed
-        # between the scan and the watch registration).
-        arrived = False
-        for conn in self.connections.values():
-            data = self.proc.peek(conn.descriptor_stamp_vaddr(), 4)
-            if data == conn.expected_stamp_bytes():
-                arrived = True
-        if not arrived:
-            if hardened:
-                timer = self.proc.sim.timeout(_RECV_IDLE_US)
-                yield self.proc.sim.any_of([woke, timer])
-                if not woke.triggered:
-                    for watch in watches:
-                        memory.remove_watch(watch)
-                    raise NXTimeoutError(
-                        "rank %d saw no message activity within %.0f us"
-                        % (self.rank, _RECV_IDLE_US)
-                    )
-            else:
-                yield woke
-        for watch in watches:
-            memory.remove_watch(watch)
-        yield self.proc.sim.timeout(self.proc.config.costs.vmmc_poll_check)
+        woke = yield from proc.wait_any(
+            ranges,
+            lambda: any(proc.peek(conn.descriptor_stamp_vaddr(), 4)
+                        == conn.expected_stamp_bytes() for conn in conns),
+            IDLE_US if proc.faults.enabled else None,
+        )
+        if not woke:
+            raise NXTimeoutError(
+                "rank %d saw no message activity within %.0f us"
+                % (self.rank, IDLE_US)
+            )
 
     # ------------------------------------------------------------------
     # Consumption (small, zero-copy, chunked)
@@ -446,42 +420,27 @@ class NXProcess:
             raise RuntimeError("one large send at a time per connection")
         conn.large_send_active = True
         try:
-            if conn.hardened:
-                # Hardened large sends always stream through the packet
-                # buffers: every chunk rides the CRC'd, credit-acked
-                # small-message protocol, and the scout reply (always
-                # CHUNKED from a hardened receiver) is covered by the
-                # replay beacon.  The zero-copy direct path would need
-                # its own ack machinery for no coverage gain.
-                _seq, _reply = yield from conn.send_scout_hardened(mtype, nbytes)
-                sent = 0
-                while sent < nbytes:
-                    step = min(self.payload_bytes, nbytes - sent)
-                    yield from conn.send_small(vaddr + sent, step, CHUNK_TYPE)
-                    sent += step
-                return
-            seq = yield from conn.send_scout(mtype, nbytes)
-            # 'The sender immediately begins copying the data into a
-            # local buffer... The sender copies only when it has nothing
-            # better to do; as soon as the receiver replies, the sender
-            # immediately stops copying.'
-            backup = self._backup_buffer(nbytes)
+            seq, reply = yield from conn.send_scout(mtype, nbytes)
             copied = 0
-            chunk = 1024
-            reply = None
-            while reply is None:
-                reply = yield from conn.check_reply()
-                if reply is not None:
-                    break
-                if copied < nbytes:
-                    step = min(chunk, nbytes - copied)
-                    yield from self.proc.copy(vaddr + copied, backup + copied, step)
-                    copied += step
-                else:
-                    reply = yield from conn.poll_reply()
-                    break
+            if reply is None:
+                # 'The sender immediately begins copying the data into a
+                # local buffer... The sender copies only when it has
+                # nothing better to do; as soon as the receiver replies,
+                # the sender immediately stops copying.'
+                backup = self._backup_buffer(nbytes)
+                chunk = 1024
+                while reply is None:
+                    reply = yield from conn.check_reply()
+                    if reply is not None:
+                        break
+                    if copied < nbytes:
+                        step = min(chunk, nbytes - copied)
+                        yield from self.proc.copy(vaddr + copied, backup + copied, step)
+                        copied += step
+                    else:
+                        reply = yield from conn.poll_reply()
             export_id, buf_offset, mode = reply
-            if mode == REPLY_MODE_DIRECT:
+            if mode == REPLY_MODE_DIRECT and not conn.hardened:
                 src = backup if copied >= nbytes else vaddr
                 if src % self.proc.config.word_size != 0:
                     # Finish the safety copy; the backup is aligned.
@@ -492,7 +451,13 @@ class NXProcess:
                 yield from self.ep.send(imported, src, nbytes, offset=buf_offset)
                 yield from conn.send_complete(seq)
             else:
-                # Alignment fallback: stream through the packet buffers.
+                # Alignment fallback, and every hardened large send:
+                # stream through the packet buffers, each chunk riding
+                # the CRC'd, credit-acked small-message protocol.  A
+                # hardened receiver always replies CHUNKED, and the
+                # zero-copy path would need its own ack machinery, so a
+                # hardened sender ignores the reply's (possibly
+                # corrupted) mode word.
                 sent = 0
                 while sent < nbytes:
                     step = min(self.payload_bytes, nbytes - sent)

@@ -45,7 +45,7 @@ from ...hardware.config import CacheMode
 from ...kernel.process import UserProcess
 from ...kernel.system import ShrimpSystem
 from ...vmmc import VmmcEndpoint, VmmcTimeoutError, attach
-from ..recovery import MAX_XMIT, attempt_timeout_us, bounded_poll, crc32_of
+from ..recovery import IDLE_US, MAX_XMIT, bounded_poll, crc32_of, retransmit
 from .idl import IdlType, Interface, Param
 
 __all__ = ["SrpcError", "SrpcTimeoutError", "SrpcClientBase", "SrpcServerBase",
@@ -82,9 +82,7 @@ def _tag_span(span, ctx, cross: bool = False) -> None:
     if span is not None and ctx is not None and isinstance(span.data, dict):
         span.data["tid"] = ctx[0]
         span.data["xparent" if cross else "cparent"] = ctx[1]
-_RETRY_BASE_US = 400.0
-_RETRY_PER_BYTE_US = 0.1
-_SERVE_IDLE_US = 1_000_000.0
+
 
 _SCALAR_CODES = {"int": "<i", "uint": "<I", "float": "<f", "double": "<d"}
 
@@ -536,20 +534,17 @@ class SrpcClientBase(_SrpcEndpointBase):
         server's replay log."""
         proc = self.proc
         base = ticket.frame * self.frame_stride
-        base_us = _RETRY_BASE_US + _RETRY_PER_BYTE_US * self.call_word_off
         ret_span = self.return_word_off - self.ret_off
         window_off = self.return_word_off
         window_len = self.hx_off + _HARDENED_EXT_BYTES - window_off
         xm_lo = self.hx_off + 8 - window_off
-        for attempt in range(MAX_XMIT):
-            if attempt:
-                yield from self._transmit_frame(ticket.frame, call_word,
-                                                trace_words)
-            deadline = proc.sim.now + attempt_timeout_us(base_us, attempt)
+
+        def await_reply(timeout_us):
+            deadline = proc.sim.now + timeout_us
             while True:
                 remaining = deadline - proc.sim.now
                 if remaining <= 0:
-                    break
+                    return None
                 snapshot = proc.peek(self.buf + base + window_off + xm_lo, 4)
 
                 def fresh(w, snapshot=snapshot):
@@ -561,7 +556,7 @@ class SrpcClientBase(_SrpcEndpointBase):
                     remaining,
                 )
                 if window is None:
-                    break
+                    return None
                 result = window[:4]
                 if result not in (expected_ok, expected_bad):
                     continue  # only the xmit stamp moved; revalidate later
@@ -572,10 +567,17 @@ class SrpcClientBase(_SrpcEndpointBase):
                 if crc32_of(args_img, ret_img, result) == ret_crc:
                     return result, args_img, ret_img
                 # Corrupt or partial: wait for the server's next replay.
-        raise SrpcTimeoutError(
-            "no valid reply for seq %d after %d transmissions"
-            % (ticket.seq, MAX_XMIT)
+
+        got = yield from retransmit(
+            lambda: self._transmit_frame(ticket.frame, call_word, trace_words),
+            await_reply, self.call_word_off, sent=True,
         )
+        if got is None:
+            raise SrpcTimeoutError(
+                "no valid reply for seq %d after %d transmissions"
+                % (ticket.seq, MAX_XMIT)
+            )
+        return got
 
     def finish(self, ticket: SrpcTicket):
         """Complete a pipelined call: wait for the matching reply and
@@ -781,7 +783,7 @@ class SrpcServerBase(_SrpcEndpointBase):
         call's stamp racing ahead of its image (or corruption);
         replaying then would clobber the incoming arguments."""
         proc = self.proc
-        deadline = proc.sim.now + _SERVE_IDLE_US
+        deadline = proc.sim.now + IDLE_US
         stride = self.frame_stride
         call_off = self.call_word_off
         start = self.buf + call_off
@@ -794,7 +796,7 @@ class SrpcServerBase(_SrpcEndpointBase):
             remaining = deadline - proc.sim.now
             if remaining <= 0:
                 raise SrpcTimeoutError(
-                    "no call within %.0f us" % _SERVE_IDLE_US
+                    "no call within %.0f us" % IDLE_US
                 )
             snapshots = [proc.peek(start + lo, 4) for lo in stamps]
 

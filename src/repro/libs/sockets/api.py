@@ -35,8 +35,8 @@ from ...hardware.config import CacheMode
 from ...kernel.process import UserProcess
 from ...kernel.system import ShrimpSystem
 from ...vmmc import VmmcEndpoint, attach
-from ...vmmc.errors import VmmcTimeoutError, VmmcTransferError
-from ..recovery import MAX_XMIT, attempt_timeout_us, bounded_poll, crc32_of
+from ...vmmc.errors import VmmcTimeoutError
+from ..recovery import IDLE_US, MAX_XMIT, bounded_poll, crc32_of, retransmit
 from .circular import RECORD_HEADER_BYTES, RecordRing, pad_word, record_bytes
 
 __all__ = ["SocketVariant", "SOCKET_VARIANTS", "SocketLib", "ShrimpSocket",
@@ -51,12 +51,6 @@ _FIN_OFF = 0x80
 # never read) when no fault plan is armed, so the fault-free wire
 # traffic is byte-identical to the paper's protocol.
 _CRC_OFF = 0xC0
-# Per-attempt ack budget: fixed turnaround allowance plus transfer time.
-_RETRY_BASE_US = 400.0
-_RETRY_PER_BYTE_US = 0.1
-# How long an idle hardened receiver waits before declaring the sender
-# lost.  Generously above a sender's whole retry budget (base * 2^6).
-_RECV_IDLE_US = 1_000_000.0
 _ETH_LISTEN_BASE = 20000
 _ETH_REPLY_BASE = 40000
 _reply_ports = itertools.count(1)
@@ -313,10 +307,7 @@ class ShrimpSocket:
                     yield from self._wait_for_space()
                     continue
                 chunk = min(nbytes - sent, fit, max_record)
-                if self.hardened:
-                    yield from self._send_record_hardened(vaddr + sent, chunk)
-                else:
-                    yield from self._send_record(vaddr + sent, chunk)
+                yield from self._send_record(vaddr + sent, chunk)
                 sent += chunk
             self.bytes_sent += nbytes
         finally:
@@ -325,69 +316,60 @@ class ShrimpSocket:
         return nbytes
 
     def _send_record(self, vaddr: int, payload: int):
-        proc = self.proc
-        ring = self.out_ring
-        header_off = ring.offset_of(ring.produced)
-        header, segments, produced = ring.place_record(payload)
-        yield from self._write_record_data(vaddr, payload, header, header_off, segments)
-        # Publish the new produced counter (control via AU, after data).
-        yield from proc.compute(proc.config.costs.socket_space_update)
-        yield from proc.write(self.au_ctrl_out + _PRODUCED_OFF, _u32(produced))
+        """Send one record: header + payload into the ring, then the new
+        produced counter (control via AU, after the data).
 
-    def _send_record_hardened(self, vaddr: int, payload: int):
-        """One record, reliably: CRC + retransmit until the peer acks.
-
-        The hardened protocol is a synchronous rendezvous per record:
-        the receiver's consumed counter reaching the new produced value
-        *is* the ack (no extra wire words), so the ring is drained
-        between records and a retransmission can blindly rewrite the
-        same offsets.  Raises :class:`SocketTimeoutError` once the
-        retry budget is exhausted.
+        Hardened, the record is a synchronous rendezvous retransmitted
+        until acked: the receiver's consumed counter reaching the new
+        produced value *is* the ack (no extra wire words), so the ring
+        is drained between records and a retransmission can blindly
+        rewrite the same offsets.  Raises :class:`SocketTimeoutError`
+        once the retry budget is spent.
         """
         proc = self.proc
         ring = self.out_ring
         header_off = ring.offset_of(ring.produced)
         header, segments, produced = ring.place_record(payload)
+        if not self.hardened:
+            yield from self._transmit_record(vaddr, payload, header,
+                                             header_off, segments, produced)
+            return
         body = yield from proc.read(vaddr, payload)      # checksum pass
         crc = crc32_of(header, body)
         target = _u32(produced)
-        base_us = _RETRY_BASE_US + _RETRY_PER_BYTE_US * payload
-        for attempt in range(MAX_XMIT):
-            self._xmit_count += 1
-            try:
-                yield from proc.write(
-                    self.au_ctrl_out + _CRC_OFF,
-                    _u32(crc) + _u32(self._xmit_count),
-                )
-                yield from self._write_record_data(
-                    vaddr, payload, header, header_off, segments
-                )
-                yield from proc.compute(proc.config.costs.socket_space_update)
-                yield from proc.write(self.au_ctrl_out + _PRODUCED_OFF, _u32(produced))
-            except VmmcTransferError:
-                # The DU engine aborted this attempt; burn it and retry.
-                continue
-            acked = yield from bounded_poll(
+        acked = yield from retransmit(
+            lambda: self._transmit_record(vaddr, payload, header, header_off,
+                                          segments, produced, crc),
+            lambda timeout_us: bounded_poll(
                 proc, self.half.ctrl_vaddr + _CONSUMED_OFF, 4,
-                lambda data: data == target,
-                attempt_timeout_us(base_us, attempt),
-            )
-            if acked is not None:
-                ring.consumed = produced
-                return
-        raise SocketTimeoutError(
-            "no ack for a %d-byte record after %d transmissions"
-            % (payload, MAX_XMIT)
+                lambda data: data == target, timeout_us),
+            payload,
         )
+        if acked is None:
+            raise SocketTimeoutError(
+                "no ack for a %d-byte record after %d transmissions"
+                % (payload, MAX_XMIT)
+            )
+        ring.consumed = produced
 
-    def _write_record_data(self, vaddr: int, payload: int, header: bytes,
-                           header_off: int, segments):
-        """Variant-specific header+payload placement for one record.
+    def _transmit_record(self, vaddr: int, payload: int, header: bytes,
+                         header_off: int, segments, produced: int,
+                         crc: int = 0):
+        """One transmission of a record: (hardened) the CRC and xmit
+        words, the variant-specific header+payload placement, then the
+        produced counter.
 
-        Idempotent with respect to ring state — the hardened sender
+        Idempotent with respect to ring state, so the hardened sender
         replays it verbatim on retransmission.
         """
         proc = self.proc
+        if self.hardened:
+            # Bumped before the data, so a DU abort still uses it up.
+            self._xmit_count += 1
+            yield from proc.write(
+                self.au_ctrl_out + _CRC_OFF,
+                _u32(crc) + _u32(self._xmit_count),
+            )
         word = proc.config.word_size
         if self.variant.automatic:
             yield from proc.write(self.au_ring_out + header_off, header)
@@ -443,6 +425,8 @@ class ShrimpSocket:
                             pad_word(tail), offset=seg.ring_offset + whole,
                         )
                     cursor += seg.length
+        yield from proc.compute(proc.config.costs.socket_space_update)
+        yield from proc.write(self.au_ctrl_out + _PRODUCED_OFF, _u32(produced))
 
     def _refresh_consumed(self):
         data = yield from self.proc.read(self.half.ctrl_vaddr + _CONSUMED_OFF, 4)
@@ -591,23 +575,12 @@ class ShrimpSocket:
         return copied
 
     def _refresh_produced(self):
-        if self.hardened:
-            yield from self._refresh_produced_hardened()
-            return
-        data = yield from self.proc.read(self.half.ctrl_vaddr + _PRODUCED_OFF, 4)
-        (produced,) = struct.unpack("<I", data)
-        if produced > self.in_ring.produced:
-            self.in_ring.produced = produced
-        fin = self.proc.peek(self.half.ctrl_vaddr + _FIN_OFF, 4)
-        if fin != b"\x00\x00\x00\x00":
-            self._fin_seen = True
+        """Pull the peer's produced counter and FIN flag into the ring.
 
-    def _refresh_produced_hardened(self):
-        """Validate before accepting: reject garbage instead of trusting it.
-
-        A record is accepted only when the produced delta spans exactly
+        Hardened, validate before accepting instead of trusting: a
+        record is accepted only when the produced delta spans exactly
         one well-formed record whose CRC (over header + payload) matches
-        the sender's — anything else (corrupted counter, stale or
+        the sender's.  Anything else (corrupted counter, stale or
         corrupted data, a delayed packet that has not landed yet) leaves
         the ring state untouched, and the sender's retransmission
         repairs it.  A bumped xmit counter also replays our consumed
@@ -615,13 +588,18 @@ class ShrimpSocket:
         """
         proc = self.proc
         ring = self.in_ring
-        data = yield from proc.read(self.half.ctrl_vaddr + _PRODUCED_OFF, 4)
+        ctrl = self.half.ctrl_vaddr
+        data = yield from proc.read(ctrl + _PRODUCED_OFF, 4)
         (produced,) = struct.unpack("<I", data)
-        crc_raw = yield from proc.read(self.half.ctrl_vaddr + _CRC_OFF, 8)
-        crc, xmit = struct.unpack("<II", crc_raw)
-        fin = proc.peek(self.half.ctrl_vaddr + _FIN_OFF, 4)
-        if fin != b"\x00\x00\x00\x00":
+        if self.hardened:
+            crc_raw = yield from proc.read(ctrl + _CRC_OFF, 8)
+        if proc.peek(ctrl + _FIN_OFF, 4) != b"\x00\x00\x00\x00":
             self._fin_seen = True
+        if not self.hardened:
+            if produced > ring.produced:
+                ring.produced = produced
+            return
+        crc, xmit = struct.unpack("<II", crc_raw)
         if produced != ring.produced:
             delta = produced - ring.produced
             if 0 < delta <= ring.capacity:
@@ -675,12 +653,12 @@ class ShrimpSocket:
             snapshot = self.proc.peek(self.half.ctrl_vaddr, window)
             woke = yield from bounded_poll(
                 self.proc, self.half.ctrl_vaddr, window,
-                lambda data: data != snapshot, _RECV_IDLE_US,
+                lambda data: data != snapshot, IDLE_US,
             )
             if woke is None:
                 raise SocketTimeoutError(
                     "no data from peer node %d within %.0f us"
-                    % (self.peer_node, _RECV_IDLE_US)
+                    % (self.peer_node, IDLE_US)
                 )
             return
         current = _u32(self.in_ring.produced)
