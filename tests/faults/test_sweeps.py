@@ -1,7 +1,9 @@
 """Seeded FaultPlan sweeps across every hardened library.
 
-70 distinct seeds (>= the 50 the acceptance bar asks for), each driving
-a full transfer pattern under a different randomized fault schedule.
+130 distinct seeds (>= the 50 the acceptance bar asks for), each driving
+a full transfer pattern under a different randomized fault schedule;
+the multi-client VRPC sweep also runs the server's multi-transport
+wait under faults.
 The harness asserts the recovery contract: intact payload or a typed
 timeout, never a hang (run_processes' bounded-sim-time watchdog raises
 RuntimeError if a protocol stops making progress) and never silent
@@ -48,3 +50,15 @@ def test_vrpc_calls_complete_or_raise(automatic, seed):
 def test_srpc_calls_complete_or_raise(seed):
     outcome, _system = harness.run_srpc_exchange(seed)
     _check(outcome, ["client", "server"])
+
+
+@pytest.mark.parametrize("automatic,seed",
+                         [(True, s) for s in range(500, 530)]
+                         + [(False, s) for s in range(530, 560)])
+def test_vrpc_multiclient_calls_complete_or_raise(automatic, seed):
+    """Three clients on one svc_run: the multi-transport wait, replay
+    and idle bound under faults.  The harness checks every reply
+    against its own call."""
+    outcome, _system = harness.run_vrpc_multiclient(seed,
+                                                    automatic=automatic)
+    _check(outcome, ["client0", "client2", "client3", "server"])
