@@ -69,6 +69,31 @@ def _sample_request(rng: random.Random, spec: WorkloadSpec,
     return ("put", key, sizes.sample(rng), 0)
 
 
+#: The client counters the mitigation line and metrics entry sum.
+_MITIGATION_COUNTERS = ("cache_lookups", "cache_hits", "spread_reads",
+                        "batch_calls", "batched_keys", "onesided_hits",
+                        "onesided_fallbacks")
+
+
+def _mitigation_totals(clients) -> Dict[str, float]:
+    """The workers' mitigation counters summed, plus their SRPC
+    bindings' pipeline submits, mean depth and in-flight high-water
+    mark."""
+    totals: Dict[str, float] = {
+        name: sum(getattr(c, name) for c in clients)
+        for name in _MITIGATION_COUNTERS}
+    submits = depth_total = high = 0
+    for c in clients:
+        for binding in c.rpc.values():
+            submits += binding.submits
+            depth_total += binding.mean_depth * binding.submits
+            high = max(high, binding.inflight_high_water)
+    totals.update(pipeline_submits=submits,
+                  mean_depth=depth_total / submits if submits else 0.0,
+                  high_water=high)
+    return totals
+
+
 def run_workload(spec: WorkloadSpec,
                  fault_plan: Optional[FaultPlan] = None,
                  stream: Optional[RecordedStream] = None) -> WorkloadReport:
@@ -182,23 +207,27 @@ def run_workload(spec: WorkloadSpec,
     vreads = {"reads": 0, "stale": 0}
 
     def _execute(client, op, key, size, limit):
-        if op == "get":
-            snap = expected.get(key, VERSION_ZERO) if spec.staleness else None
-            status, value = yield from client.get(key)
-            if status == ST_OK and value:
-                if bytes(value) != value_bytes(key, len(value)):
-                    client.corruptions += 1
-            if snap is not None and status != ST_ERROR:
-                vreads["reads"] += 1
-                if client.last_version < snap:
-                    vreads["stale"] += 1
-        elif op == "put":
-            status = yield from client.put(key, value_bytes(key, size))
-            if spec.staleness and status == ST_OK \
-                    and client.last_version > expected.get(key, VERSION_ZERO):
-                expected[key] = client.last_version
-        else:
-            status, _records = yield from client.scan(key, limit)
+        """Run one request (generator returning its status, or None
+        when the retry budget could not recover a rejection)."""
+        try:
+            if op == "get":
+                snap = (expected.get(key, VERSION_ZERO) if spec.staleness
+                        else None)
+                status, value = yield from client.get(key)
+                _check_value(client, key, status, value)
+                if snap is not None and status != ST_ERROR:
+                    vreads["reads"] += 1
+                    if client.last_version < snap:
+                        vreads["stale"] += 1
+            elif op == "put":
+                status = yield from client.put(key, value_bytes(key, size))
+                if spec.staleness and status == ST_OK and \
+                        client.last_version > expected.get(key, VERSION_ZERO):
+                    expected[key] = client.last_version
+            else:
+                status, _records = yield from client.scan(key, limit)
+        except KvRejectedError:
+            return None
         return status
 
     def _record(op, latency, status):
@@ -221,11 +250,23 @@ def run_workload(spec: WorkloadSpec,
         else:
             tally["completed"] += 1
 
-    def _reject():
-        """Account one request the retry budget could not recover."""
-        tally["rejected"] += 1
-        if governor is not None:
-            governor.note(True)
+    def _account(client, op, status, arrival):
+        """Account one finished request: its latency from ``arrival``,
+        or a rejection the retry budget could not recover (``status``
+        None).  Traced runs stamp the root span with the arrival (a
+        queue wait precedes the span) and the tenant tag, so
+        per-request profile totals equal the recorded latency
+        exactly."""
+        if status is None:
+            tally["rejected"] += 1
+            if governor is not None:
+                governor.note(True)
+        else:
+            _record(op, sim.now - arrival, status)
+        if traced:
+            profiling.tag_root(client, arrival=arrival,
+                               tenant=spec.tenant or None)
+        window["end"] = max(window["end"], sim.now)
 
     def _check_value(client, key, status, value):
         if status == ST_OK and value:
@@ -288,34 +329,21 @@ def run_workload(spec: WorkloadSpec,
         name = "kv-mitigation"
 
         def metrics_snapshot(self, now=None):
-            lookups = sum(c.cache_lookups for c in clients)
-            hits = sum(c.cache_hits for c in clients)
-            submits = depth_total = high = 0
-            for c in clients:
-                for binding in c.rpc.values():
-                    submits += binding.submits
-                    depth_total += binding.mean_depth * binding.submits
-                    high = max(high, binding.inflight_high_water)
+            totals = _mitigation_totals(clients)
+            lookups = totals["cache_lookups"]
+            hits = totals["cache_hits"]
             # ``count``/``mean_depth``/``high_water`` are the keys the
             # registry report renders; the rest ride along for
             # ``metrics.snapshot()`` consumers.
-            return {
-                "name": self.name,
-                "kind": "mitigation",
-                "count": lookups + submits,
-                "mean_depth": depth_total / submits if submits else 0.0,
-                "high_water": high,
-                "cache_lookups": lookups,
-                "cache_hits": hits,
-                "cache_hit_rate": hits / lookups if lookups else 0.0,
-                "pipeline_submits": submits,
-                "spread_reads": sum(c.spread_reads for c in clients),
-                "batch_calls": sum(c.batch_calls for c in clients),
-                "batched_keys": sum(c.batched_keys for c in clients),
-                "onesided_hits": sum(c.onesided_hits for c in clients),
-                "onesided_fallbacks": sum(c.onesided_fallbacks
-                                          for c in clients),
-            }
+            return dict(
+                name=self.name, kind="mitigation",
+                count=lookups + totals["pipeline_submits"],
+                mean_depth=totals["mean_depth"],
+                high_water=totals["high_water"],
+                cache_lookups=lookups, cache_hits=hits,
+                cache_hit_rate=hits / lookups if lookups else 0.0,
+                pipeline_submits=totals["pipeline_submits"],
+                **{name: totals[name] for name in _MITIGATION_COUNTERS[2:]})
 
     if spec.mitigated():
         system.machine.metrics.register(_MitigationMetrics())
@@ -352,7 +380,7 @@ def run_workload(spec: WorkloadSpec,
                 window["start"] = sim.now
                 rdv.put("go", sim.now)
             yield rdv.get("go")
-            if spec.arrival == "open" and grouped:
+            if spec.arrival == "open":
                 stopped = False
                 while not stopped:
                     item = dispatch.try_get(_EMPTY)
@@ -360,39 +388,21 @@ def run_workload(spec: WorkloadSpec,
                         item = yield dispatch.get()
                     if item is None:
                         break
-                    batch = [item]
-                    while len(batch) < group:
-                        more = dispatch.try_get(_EMPTY)
-                        if more is _EMPTY:
-                            break
-                        if more is None:
-                            stopped = True
-                            break
-                        batch.append(more)
-                    yield from _execute_group(client, batch)
-            elif spec.arrival == "open":
-                while True:
-                    item = dispatch.try_get(_EMPTY)
-                    if item is _EMPTY:
-                        item = yield dispatch.get()
-                    if item is None:
-                        break
+                    if grouped:
+                        batch = [item]
+                        while len(batch) < group:
+                            more = dispatch.try_get(_EMPTY)
+                            if more is _EMPTY:
+                                break
+                            if more is None:
+                                stopped = True
+                                break
+                            batch.append(more)
+                        yield from _execute_group(client, batch)
+                        continue
                     op, key, size, limit, arrival = item
-                    try:
-                        status = yield from _execute(
-                            client, op, key, size, limit)
-                    except KvRejectedError:
-                        _reject()
-                    else:
-                        _record(op, sim.now - arrival, status)
-                    if traced:
-                        # Stamp the root span with its dispatch arrival
-                        # (the queue wait precedes the span) and the
-                        # tenant tag, so per-request profile totals
-                        # equal the recorded latency exactly.
-                        profiling.tag_root(client, arrival=arrival,
-                                           tenant=spec.tenant or None)
-                    window["end"] = max(window["end"], sim.now)
+                    status = yield from _execute(client, op, key, size, limit)
+                    _account(client, op, status, arrival)
                     if spec.read_repair:
                         # After the latency was recorded: repairs ride
                         # the worker's idle gap, not the request tail.
@@ -409,17 +419,8 @@ def run_workload(spec: WorkloadSpec,
                         op, key, size, limit = _sample_request(
                             rng, spec, keys, sizes)
                     issued = sim.now
-                    try:
-                        status = yield from _execute(
-                            client, op, key, size, limit)
-                    except KvRejectedError:
-                        _reject()
-                    else:
-                        _record(op, sim.now - issued, status)
-                    if traced:
-                        profiling.tag_root(client, arrival=issued,
-                                           tenant=spec.tenant or None)
-                    window["end"] = max(window["end"], sim.now)
+                    status = yield from _execute(client, op, key, size, limit)
+                    _account(client, op, status, issued)
                     if spec.read_repair:
                         yield from client.flush_repairs()
                     if spec.think_us > 0.0:
@@ -499,24 +500,17 @@ def run_workload(spec: WorkloadSpec,
                counters["hits"], counters["puts"], counters["deletes"],
                counters["scans"], counters["repl_applied"]))
     if spec.mitigated():
-        lookups = sum(c.cache_lookups for c in clients)
-        hits = sum(c.cache_hits for c in clients)
-        submits = depth_total = 0
-        for c in clients:
-            for binding in c.rpc.values():
-                submits += binding.submits
-                depth_total += binding.mean_depth * binding.submits
+        totals = _mitigation_totals(clients)
+        lookups = totals["cache_lookups"]
         service_lines.append(
-            "mitigation: cache_hits=%d/%d (%.1f%%) spread_reads=%d "
-            "batch_calls=%d batched_keys=%d pipeline_submits=%d "
-            "mean_depth=%.2f onesided_hits=%d onesided_fallbacks=%d"
-            % (hits, lookups, 100.0 * hits / lookups if lookups else 0.0,
-               sum(c.spread_reads for c in clients),
-               sum(c.batch_calls for c in clients),
-               sum(c.batched_keys for c in clients),
-               submits, depth_total / submits if submits else 0.0,
-               sum(c.onesided_hits for c in clients),
-               sum(c.onesided_fallbacks for c in clients)))
+            "mitigation: cache_hits=%(cache_hits)d/%(cache_lookups)d "
+            "(%(hit_pct).1f%%) spread_reads=%(spread_reads)d "
+            "batch_calls=%(batch_calls)d batched_keys=%(batched_keys)d "
+            "pipeline_submits=%(pipeline_submits)d "
+            "mean_depth=%(mean_depth).2f onesided_hits=%(onesided_hits)d "
+            "onesided_fallbacks=%(onesided_fallbacks)d"
+            % dict(totals, hit_pct=(100.0 * totals["cache_hits"] / lookups
+                                    if lookups else 0.0)))
     fault_lines = []
     if fault_plan is not None:
         fault_lines = system.faults.report().splitlines()
