@@ -106,6 +106,9 @@ class KVService:
                  antientropy: bool = False,
                  antientropy_interval_us: float = 2000.0,
                  antientropy_max_rounds: int = 64):
+        if batch and admission:
+            raise ValueError("admission control composes with the plain "
+                             "request path only (batch=False)")
         self.system = system
         # Serving-stack knobs both sides of an SRPC binding must agree
         # on: ``batch`` selects the v2 interface (multi_get available),

@@ -8,6 +8,8 @@ not subsequently read an older value from its cache, and pipelined
 writes to the same key must apply in submission order.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.kv import KVClient, KVService, ST_MISS, ST_OK
@@ -192,6 +194,26 @@ def test_multi_get_batches_and_matches_per_key_gets():
 
 
 # ------------------------------------------------------- engine layer
+
+
+def _cpu_busy_us(report):
+    """Per-node CPU busy time from the utilization table."""
+    return {row.split()[0]: float(row.split()[2])
+            for row in report.utilization.splitlines()
+            if row.split() and row.split()[0].endswith(".cpu")}
+
+
+def test_batched_gets_pay_the_handler_cpu_tax_per_key():
+    """A batched GET charges each key what an unbatched GET charges
+    (``op_cost(0)``, handler tax included), so batching moves no CPU
+    work off the node (docs/OVERLOAD.md)."""
+    spec = WorkloadSpec(seed=11, transport="srpc", arrival="open",
+                        load=100_000.0, concurrency=8, requests=120,
+                        keys=64, cpu_slots=1, cpu_op_us=50.0)
+    unbatched = _cpu_busy_us(run_workload(spec))
+    batched = _cpu_busy_us(run_workload(replace(spec, batch_keys=4)))
+    assert sorted(unbatched) == ["n0.cpu", "n1.cpu", "n2.cpu", "n3.cpu"]
+    assert batched == pytest.approx(unbatched, abs=0.01)
 
 
 def test_mitigated_workload_completes_without_errors():
