@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json bench-sim-json record-replay-demo profile-demo clean
+.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json bench-sim-json record-replay-demo profile-demo clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -28,6 +28,12 @@ explain-demo:
 
 capacity-json:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --loads $${LOADS:-10000,40000} --requests $${REQUESTS:-120} --json BENCH_capacity.json
+
+# The mitigation A/B from EXPERIMENTS.md "Serving capacity", at
+# doc-exact arguments (tests/test_docs_links.py pins the doc's output
+# block to this command's output).
+mitigation-demo:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --loads 20000,40000,80000,120000,160000,240000,320000 --zipf-s 1.3 --ab
 
 # Paired A/B sweep isolating the one-sided server bypass (docs/ONESIDED.md);
 # the committed BENCH_capacity.json uses REQUESTS=2000.

@@ -10,6 +10,9 @@ Two structural checks over every Markdown file in the repo root and
   against the real argument parser, so a renamed flag or subcommand
   cannot strand a stale example.
 
+A third check runs one documented command and compares its output
+with the block the doc shows for it, so that block cannot go stale.
+
 These run in the docs CI job (.github/workflows/ci.yml) as well as in
 the default test suite.
 """
@@ -22,7 +25,7 @@ import shlex
 
 import pytest
 
-from repro.__main__ import _build_parser
+from repro.__main__ import _build_parser, main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -115,3 +118,27 @@ def test_architecture_doc_is_linked_everywhere():
             continue
         assert "ARCHITECTURE.md" in doc.read_text(), (
             "%s does not link to the architecture map" % _md_id(doc))
+
+
+#: EXPERIMENTS.md's mitigation A/B command (``make mitigation-demo``).
+MITIGATION_AB = ("python -m repro capacity --loads "
+                 "20000,40000,80000,120000,160000,240000,320000 "
+                 "--zipf-s 1.3 --ab")
+
+
+def _output_block_after(text, command):
+    """The fenced block following the fenced block holding ``command``."""
+    lines = text[text.index(command):].splitlines()
+    fences = [i for i, line in enumerate(lines) if line == "```"]
+    # fences[0] closes the command's block; the next pair brackets
+    # the output shown for it.
+    return "\n".join(lines[fences[1] + 1:fences[2]])
+
+
+def test_experiments_mitigation_block_is_the_commands_output():
+    expected = _output_block_after(
+        (REPO_ROOT / "EXPERIMENTS.md").read_text(), MITIGATION_AB)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(shlex.split(MITIGATION_AB)[3:]) == 0
+    assert out.getvalue().rstrip("\n") == expected
