@@ -4,16 +4,20 @@ Workers are simulated processes placed round-robin over the mesh nodes,
 each owning a :class:`~repro.apps.kv.KVClient` (so every worker talks
 to every shard).  Arrivals are either:
 
-* **open loop** — a Poisson arrival process stamps requests into a
-  dispatch queue at the offered load, independent of completions;
+* **open loop** — an arrival process stamps requests into a dispatch
+  queue at the stream's gaps (Poisson at the offered load unless a
+  scenario shaped them), independent of completions;
   latency is *completion minus arrival*, so queueing delay shows up in
   the tail and the saturation knee emerges past capacity; or
-* **closed loop** — each worker issues back-to-back requests (plus
-  optional think time), the classic fixed-concurrency load generator
-  that can never overrun the service.
+* **closed loop** — each worker issues its own sequence back to back
+  (plus optional think time), the classic fixed-concurrency load
+  generator that can never overrun the service.
 
-The engine is seed-deterministic end to end: sampling uses dedicated
-``random.Random`` streams, the dispatch queue is FIFO, and the report
+Every run replays a :class:`~repro.workload.RecordedStream`: the one
+it is given, or else ``record_stream(spec)``, so the recorder is the
+only request sampler and a live run is the replay of its own stream.
+The engine is seed-deterministic end to end: the stream is a pure
+function of the spec, the dispatch queue is FIFO, and the report
 contains only simulated quantities.  Runs use
 :func:`repro.testbed.make_system`, so every workload run is subject to
 the conftest invariant audit (mesh conservation, span balance, queue
@@ -41,33 +45,13 @@ from ..sim import Store
 from ..sim.faults import FaultPlan
 from ..testbed import Rendezvous, make_system
 from .backpressure import BackpressureGovernor
-from .recorder import RecordedStream
+from .recorder import RecordedStream, record_stream
 from .report import WorkloadReport
-from .spec import (
-    KeySampler,
-    ValueSizeSampler,
-    WorkloadSpec,
-    exponential_gap_us,
-    key_name,
-    value_bytes,
-)
+from .spec import ValueSizeSampler, WorkloadSpec, key_name, value_bytes
 
 __all__ = ["run_workload"]
 
 _OPS = ("get", "put", "scan")
-
-
-def _sample_request(rng: random.Random, spec: WorkloadSpec,
-                    keys: KeySampler, sizes: ValueSizeSampler):
-    """One request tuple ``(op, key, value_size, scan_limit)``."""
-    r = rng.random()
-    key = key_name(keys.sample(rng))
-    if r < spec.read_fraction:
-        return ("get", key, 0, 0)
-    if r < spec.read_fraction + spec.scan_fraction:
-        return ("scan", key[:4], 0, spec.scan_limit)
-    return ("put", key, sizes.sample(rng), 0)
-
 
 #: The client counters the mitigation line and metrics entry sum.
 _MITIGATION_COUNTERS = ("cache_lookups", "cache_hits", "spread_reads",
@@ -106,26 +90,27 @@ def run_workload(spec: WorkloadSpec,
     replicas, and the run completes (bounded by typed timeouts) rather
     than hanging.
 
-    With ``stream`` (a :class:`~repro.workload.RecordedStream`) the
-    engine *replays* that frozen request sequence instead of sampling
-    its own: gaps, ops, keys, and sizes come from the artifact, so two
-    replays under different serving configs see byte-identical offered
-    traffic (docs/WORKLOADS.md, "Record & replay").  The stream must
-    match the spec's arrival shape and request count.
+    The engine replays ``stream`` (a :class:`~repro.workload.
+    RecordedStream`), or without one ``record_stream(spec)``: gaps,
+    ops, keys, and sizes come from the stream, so two replays under
+    different serving configs see byte-identical offered traffic
+    (docs/WORKLOADS.md, "Record & replay").  A given stream must match
+    the spec's arrival shape and request count.
     """
     spec.validate()
-    if stream is not None:
-        if stream.arrival != spec.arrival:
-            raise ValueError("stream arrival %r does not match spec "
-                             "arrival %r" % (stream.arrival, spec.arrival))
-        if len(stream) != spec.requests:
-            raise ValueError("stream carries %d requests but the spec "
-                             "expects %d" % (len(stream), spec.requests))
-        if spec.arrival == "closed" \
-                and len(stream.workers) != spec.concurrency:
-            raise ValueError("closed stream was recorded for %d workers, "
-                             "spec has %d"
-                             % (len(stream.workers), spec.concurrency))
+    if stream is None:
+        stream = record_stream(spec)
+    elif stream.arrival != spec.arrival:
+        raise ValueError("stream arrival %r does not match spec "
+                         "arrival %r" % (stream.arrival, spec.arrival))
+    elif len(stream) != spec.requests:
+        raise ValueError("stream carries %d requests but the spec "
+                         "expects %d" % (len(stream), spec.requests))
+    elif spec.arrival == "closed" \
+            and len(stream.workers) != spec.concurrency:
+        raise ValueError("closed stream was recorded for %d workers, "
+                         "spec has %d"
+                         % (len(stream.workers), spec.concurrency))
     config = (MachineConfig.shrimp_prototype() if spec.nodes == 4
               else MachineConfig.sixteen_node())
     system = make_system(config=config, fault_plan=fault_plan)
@@ -166,7 +151,6 @@ def run_workload(spec: WorkloadSpec,
         srpc_handlers=workers if spec.transport == "srpc" else 0,
         socket_handlers=workers if spec.needs_sockets() else 0)
 
-    keys = KeySampler(spec.keys, spec.key_distribution, spec.zipf_s)
     dispatch = Store(sim, name="wl-dispatch-q")
     system.machine.metrics.register(dispatch)
     rdv = Rendezvous(system)
@@ -408,16 +392,7 @@ def run_workload(spec: WorkloadSpec,
                         # the worker's idle gap, not the request tail.
                         yield from client.flush_repairs()
             else:
-                rng = random.Random(spec.seed * 1_000_003 + wid)
-                quota = spec.requests // workers
-                if wid < spec.requests % workers:
-                    quota += 1
-                for index in range(quota):
-                    if stream is not None:
-                        op, key, size, limit = stream.workers[wid][index]
-                    else:
-                        op, key, size, limit = _sample_request(
-                            rng, spec, keys, sizes)
+                for op, key, size, limit in stream.workers[wid]:
                     issued = sim.now
                     status = yield from _execute(client, op, key, size, limit)
                     _account(client, op, status, issued)
@@ -436,22 +411,11 @@ def run_workload(spec: WorkloadSpec,
 
     if spec.arrival == "open":
         def arrivals(_proc):
-            rng = random.Random(spec.seed)
             yield rdv.get("go")
-            for index in range(spec.requests):
-                # Replay keeps the generator's exact shape: gap first,
-                # then the request — the instants and tuples a replayed
-                # run stamps are bit-identical to the recorded run's.
-                if stream is not None:
-                    gap, op, key, size, limit = stream.requests[index]
-                else:
-                    gap = exponential_gap_us(rng, spec.load)
+            for gap, op, key, size, limit in stream.requests:
                 if governor is not None:
                     gap *= governor.gap_scale()
                 yield sim.timeout(gap)
-                if stream is None:
-                    op, key, size, limit = _sample_request(
-                        rng, spec, keys, sizes)
                 dispatch.try_put((op, key, size, limit, sim.now))
             for _ in range(workers):
                 dispatch.try_put(None)

@@ -9,11 +9,12 @@ configuration.  Two replays of the same stream see byte-identical
 offered traffic, so an A/B over transport or mitigation knobs compares
 exactly-paired runs instead of merely same-seed runs.
 
-Because the engine's samplers are pure functions of the spec (dedicated
-``random.Random`` streams, spec.py), :func:`record_stream` re-derives
-the stream analytically — no simulation run needed — and
-``run_workload(spec, stream=...)`` replaying it reproduces the original
-report byte for byte (pinned by tests/workload/test_replay_fidelity.py).
+:func:`record_stream` is the only request sampler.  The stream is a
+pure function of the spec (dedicated ``random.Random`` streams,
+spec.py), derived without a simulation run, and ``run_workload(spec)``
+itself replays ``record_stream(spec)`` — so a live run and the replay
+of its saved stream are the same run, report for report (pinned by
+tests/workload/test_replay_fidelity.py).
 
 Frozen streams are also the substrate for shaped scenarios no sampler
 knob can express:
@@ -94,8 +95,7 @@ class RecordedStream:
 
 def _sample_entry(rng: random.Random, spec: WorkloadSpec,
                   keys: KeySampler, sizes: ValueSizeSampler) -> ClosedEntry:
-    # Mirror of engine._sample_request — same draws, same order, so a
-    # recorded stream is bit-identical to what the live engine samples.
+    """One request ``(op, key, value_size, scan_limit)`` from ``rng``."""
     r = rng.random()
     key = key_name(keys.sample(rng))
     if r < spec.read_fraction:
@@ -106,12 +106,12 @@ def _sample_entry(rng: random.Random, spec: WorkloadSpec,
 
 
 def record_stream(spec: WorkloadSpec) -> RecordedStream:
-    """Freeze the request stream ``spec`` implies, without running it.
+    """Sample the request stream ``spec`` implies, without running it.
 
-    Re-performs exactly the ``random.Random`` draws the live engine
-    would make (gap, then request, from one stream per generator), so
-    ``run_workload(spec)`` and ``run_workload(spec, stream=
-    record_stream(spec))`` produce byte-identical reports.
+    Open loop: one ``random.Random(seed)`` draws each request's gap,
+    then the request.  Closed loop: one generator per worker draws that
+    worker's share of the requests.  ``run_workload(spec)`` replays
+    exactly this stream.
     """
     spec.validate()
     keys = KeySampler(spec.keys, spec.key_distribution, spec.zipf_s)
