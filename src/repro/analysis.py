@@ -13,7 +13,8 @@ The second half is the repo-wide percentile toolkit: an exact
 sample counts would make keeping every latency wasteful.  Everything
 that reports p50/p95/p99/p99.9 (``repro.workload``, the capacity sweep
 in ``repro.bench``) goes through these two, so tail numbers are computed
-one way everywhere.
+one way everywhere — and :func:`format_table` lays out every text
+table, so they print one way too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "TAIL_PERCENTILES",
     "au_word_budget",
     "du_word_budget",
+    "format_table",
     "percentile",
 ]
 
@@ -165,6 +167,17 @@ class LatencyHistogram:
                          for p in TAIL_PERCENTILES)
         return "%s: n=%d mean=%.2f %s max=%.2f" % (
             self.name, self.count, self.mean, tails, self.max)
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> List[str]:
+    """Align a list of string rows into fixed-width columns."""
+    if not rows:
+        return []
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return [
+        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+        for row in rows
+    ]
 
 
 @dataclass

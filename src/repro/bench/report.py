@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..analysis import format_table
+
 __all__ = ["SeriesPoint", "FigureSeries", "FigureResult", "format_table",
            "BENCH_SCHEMAS", "validate_bench_payload", "write_bench_json",
            "load_bench_json"]
@@ -194,14 +196,3 @@ def load_bench_json(path: str) -> dict:
         raise ValueError("%s is not a valid bench artifact:\n  %s"
                          % (path, "\n  ".join(problems)))
     return payload
-
-
-def format_table(rows: Sequence[Sequence[str]]) -> List[str]:
-    """Align a list of string rows into fixed-width columns."""
-    if not rows:
-        return []
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    return [
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in rows
-    ]

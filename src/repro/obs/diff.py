@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..analysis import format_table
 from .profile import PROFILE_STAGES, Profile
 
 __all__ = ["StageDelta", "DiffResult", "diff_profiles",
@@ -96,7 +97,7 @@ class DiffResult:
         rows.append(["SUM", "%.2f" % sum(s.a_us for s in self.stages),
                      "%.2f" % sum(s.b_us for s in self.stages),
                      "%+.2f" % total_delta, ""])
-        lines.extend("  " + row for row in _format_rows(rows))
+        lines.extend("  " + row for row in format_table(rows))
         lines.append("measured mean: A %.2f us -> B %.2f us "
                      "(delta %+.2f us)"
                      % (self.measured_a_us, self.measured_b_us,
@@ -119,14 +120,6 @@ class DiffResult:
                 lines.append("p99 tail attribution (per tail request): "
                              + ", ".join(moved[:4]))
         return "\n".join(lines)
-
-
-def _format_rows(rows) -> List[str]:
-    widths = [max(len(row[col]) for row in rows)
-              for col in range(len(rows[0]))]
-    return ["  ".join(cell.rjust(width)
-                      for cell, width in zip(row, widths))
-            for row in rows]
 
 
 def _stage_means(requests, stages=PROFILE_STAGES):
@@ -206,7 +199,7 @@ def _sweep_lines(side: str, a: dict, b: dict) -> List[str]:
                      "%.1f" % other["p99_us"],
                      _pct(pt["p99_us"], other["p99_us"])])
     if len(rows) > 1:
-        lines.extend("  " + row for row in _format_rows(rows))
+        lines.extend("  " + row for row in format_table(rows))
     else:
         lines.append("  (no offered loads in common)")
     return lines

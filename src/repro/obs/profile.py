@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import percentile
+from ..analysis import format_table, percentile
 from ..sim.trace import Span
 from .assemble import STAGE_ORDER, TraceTree, assemble_traces, explain_trace
 
@@ -206,7 +206,7 @@ class Profile:
         lines.append("")
         lines.append("per-stage totals (queueing = dispatch wait + poll "
                      "gaps + remote queues):")
-        lines.extend("  " + row for row in _format_rows(rows))
+        lines.extend("  " + row for row in format_table(rows))
         lines.append("")
         lines.append("flame (folded causal stacks, hottest paths):")
         lines.append(render_flame(self, max_lines=flame_lines))
@@ -225,7 +225,7 @@ class Profile:
                     "%.2f" % row["mean_depth"],
                     "%d" % row["high_water"],
                     "%d" % row["count"]])
-            lines.extend("  " + row for row in _format_rows(crows))
+            lines.extend("  " + row for row in format_table(crows))
         if self.hot:
             lines.append("")
             lines.append("hot spans (top %d by duration per stage):" % top)
@@ -252,21 +252,12 @@ class Profile:
                                 for s in PROFILE_STAGES]
                              + ["%.2f" % (sum(r.total_us for r in reqs)
                                           / n_t)])
-            lines.extend("  " + row for row in _format_rows(trows))
+            lines.extend("  " + row for row in format_table(trows))
         if self.problems:
             lines.append("")
             lines.append("audit problems:")
             lines.extend("  " + p for p in self.problems)
         return "\n".join(lines)
-
-
-def _format_rows(rows: Sequence[Sequence[str]]) -> List[str]:
-    """Fixed-width column alignment (local copy: no bench import)."""
-    widths = [max(len(row[col]) for row in rows)
-              for col in range(len(rows[0]))]
-    return ["  ".join(cell.rjust(width)
-                      for cell, width in zip(row, widths))
-            for row in rows]
 
 
 def build_profile(spans: Sequence[Span],

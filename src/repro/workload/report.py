@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..analysis import TAIL_PERCENTILES, LatencyHistogram
-from ..bench.report import format_table
+from ..analysis import TAIL_PERCENTILES, LatencyHistogram, format_table
 
 __all__ = ["WorkloadReport"]
 
