@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from dataclasses import replace
 
-from .analysis import au_word_budget, du_word_budget
+from .analysis import au_word_budget, du_word_budget, format_table
 from .bench import (
     figure3_raw_vmmc,
     figure4_nx,
@@ -38,8 +40,9 @@ from .bench import (
     headline_scalars,
     ttcp_results,
 )
-from .bench.report import format_table
+from .bench.capacity import MITIGATIONS
 from .hardware.config import CacheMode
+from .workload import WorkloadSpec
 
 _PAPER_SCALARS = {
     "au_word_wt_us": ("AU one-word latency, write-through (us)", 4.75),
@@ -168,30 +171,172 @@ def _cmd_trace(args) -> int:
     return 0 if result.agreement_error <= 0.01 else 1
 
 
+#: Each WorkloadSpec field's scalar type; None for the fields the command
+#: line cannot set (``value_sizes``).
+_FIELD_TYPES = {name: hint if hint in (bool, int, float, str) else None
+                for name, hint in typing.get_type_hints(WorkloadSpec).items()}
+
+
+def _flag(field, text, **options):
+    """A spec-flag table entry: value flags parse as the field's type."""
+    if "action" not in options:
+        options["type"] = _FIELD_TYPES[field]
+    return field, dict(options, dest=field, help=text)
+
+
+#: Every spec flag, declared once: flag -> (WorkloadSpec field, argparse
+#: keywords).  Subcommands take their flags from here by name.
+_SPEC_FLAGS = {
+    "--seed": _flag("seed", "workload seed (same seed => same run)"),
+    "--transport": _flag("transport", "client transport",
+                         choices=["srpc", "sockets"]),
+    "--arrival": _flag("arrival", "arrival process",
+                       choices=["open", "closed"]),
+    "--load": _flag("load", "open-loop offered load (ops/s)"),
+    "--concurrency": _flag("concurrency", "worker processes"),
+    "--requests": _flag("requests", "requests per run"),
+    "--keys": _flag("keys", "keyspace size"),
+    "--read-fraction": _flag("read_fraction",
+                             "fraction of requests that are GETs"),
+    "--scan-fraction": _flag("scan_fraction",
+                             "fraction that are scans (uses sockets)"),
+    "--dist": _flag("key_distribution", "key popularity",
+                    choices=["zipf", "uniform"]),
+    "--zipf-s": _flag("zipf_s", "Zipf skew exponent (hotter keys as s grows)"),
+    "--nodes": _flag("nodes", "machine size", choices=[4, 16]),
+    "--replicas": _flag("replicas", "replicas per key"),
+    "--pipeline-window": _flag(
+        "pipeline_window", "SRPC multi-call window per binding (1 = off)"),
+    "--batch-keys": _flag("batch_keys",
+                          "group GETs into multi_get batches (1 = off)"),
+    "--cache-keys": _flag("cache_keys", "client LRU cache entries (0 = off)"),
+    "--cache-ttl": _flag("cache_ttl_us",
+                         "cache entry lifetime in us (0 = no TTL)"),
+    "--read-spread": _flag("read_spread", "rotate reads over the replica set",
+                           action="store_true"),
+    "--onesided": _flag("onesided_reads",
+                        "one-sided bypass GETs from exported shard regions "
+                        "(docs/ONESIDED.md)", action="store_true"),
+    "--cpu-slots": _flag("cpu_slots",
+                         "per-node CPU scheduler slots (0 = off)"),
+    "--cpu-op-us": _flag("cpu_op_us",
+                         "handler CPU charge per op once --cpu-slots is set"),
+    "--admission": _flag("admission",
+                         "server-side admission control (docs/OVERLOAD.md)",
+                         action="store_true"),
+    "--admit-queue": _flag("admit_queue",
+                           "bounded accept-queue occupancy per node"),
+    "--admit-deadline": _flag("admit_deadline_us",
+                              "queueing-delay budget in us (0 = none)"),
+    "--retry-budget": _flag("retry_budget",
+                            "client retries after a rejection"),
+    "--retry-base": _flag("retry_base_us",
+                          "backoff base in us (doubles per attempt)"),
+    "--retry-jitter": _flag("retry_jitter",
+                            "jitter fraction on each backoff"),
+    "--backpressure": _flag("backpressure",
+                            "adaptive open-loop rate trimming on rejections",
+                            action="store_true"),
+    "--no-backpressure": _flag("backpressure",
+                               "disable the adaptive rate trimming",
+                               action="store_false"),
+    "--slo-latency": _flag("slo_latency_us",
+                           "per-request slow and goodput threshold in us "
+                           "(0 = off)"),
+    "--slo-latency-budget": _flag("slo_latency_budget",
+                                  "allowed slow-request fraction"),
+    "--slo-error-budget": _flag("slo_error_budget", "allowed error fraction"),
+    "--no-telemetry": _flag("telemetry",
+                            "skip the time-series sampler and SLO report",
+                            action="store_false"),
+    "--consistency": _flag("consistency",
+                           "client consistency mode (docs/REPLICATION.md)",
+                           choices=["eventual", "session", "quorum"]),
+    "--quorum-r": _flag("quorum_r", "read quorum size (0 = majority)"),
+    "--quorum-w": _flag("quorum_w", "write quorum size (0 = majority)"),
+    "--read-repair": _flag("read_repair",
+                           "repair stale replicas off the request path",
+                           action="store_true"),
+    "--staleness": _flag("staleness",
+                         "score every GET against the newest acknowledged "
+                         "write", action="store_true"),
+    "--antientropy": _flag("antientropy",
+                           "run the background Merkle anti-entropy sweeper",
+                           action="store_true"),
+    "--antientropy-interval": _flag("antientropy_interval_us",
+                                    "gap between anti-entropy sweeps (us)"),
+    "--interval": _flag("antientropy_interval_us",
+                        "gap between anti-entropy sweeps (us)"),
+    "--repl-queue-cap": _flag("repl_queue_cap",
+                              "bound the replication queues (0 = unbounded; "
+                              "full queues drop and count)"),
+    "--tenant": _flag("tenant", "tag every request for per-tenant grouping"),
+}
+
+# The spec flags each subcommand takes.  A recorded stream carries the
+# _STREAM_FLAGS fields (its meta, arrival and length), so replay and
+# diff rebuild its spec from them.
+_STREAM_FLAGS = ("--seed --arrival --load --concurrency --requests --keys "
+                 "--read-fraction --scan-fraction --dist --zipf-s")
+_MITIGATION_FLAGS = ("--pipeline-window --batch-keys --cache-keys "
+                     "--cache-ttl --read-spread --onesided")
+_WORKLOAD_FLAGS = (
+    "--seed --transport --arrival --load --concurrency --requests --keys "
+    "--read-fraction --scan-fraction --dist --zipf-s --nodes --replicas "
+    + _MITIGATION_FLAGS + " --cpu-slots --cpu-op-us --admission "
+    "--admit-queue --admit-deadline --retry-budget --retry-base "
+    "--retry-jitter --backpressure --slo-latency --consistency --quorum-r "
+    "--quorum-w --read-repair --staleness --antientropy "
+    "--antientropy-interval --repl-queue-cap")
+_CAPACITY_FLAGS = ("--seed --transport --concurrency --requests --keys "
+                   "--read-fraction --dist --zipf-s")
+_OVERLOAD_FLAGS = ("--cpu-slots --cpu-op-us --admit-queue --admit-deadline "
+                   "--retry-budget --retry-base --no-backpressure "
+                   "--slo-latency")
+_QUORUM_FLAGS = "--quorum-r --quorum-w"
+_ANTIENTROPY_FLAGS = ("--seed --load --concurrency --requests --keys "
+                      "--read-fraction --interval --repl-queue-cap")
+_TRACED_FLAGS = ("--seed --transport --load --concurrency --requests "
+                 "--keys --read-fraction --onesided")
+_EXPLAIN_FLAGS = _TRACED_FLAGS + (" --no-telemetry --slo-latency "
+                                  "--slo-latency-budget --slo-error-budget")
+_PROFILE_FLAGS = _TRACED_FLAGS + " --tenant"
+
+
+def _add_spec_flags(parser, flags: str, **presets) -> None:
+    """Declare ``flags`` from the table on ``parser``.
+
+    ``presets`` are the subcommand's own defaults, by field.  Any other
+    flag defaults to unset (None): the WorkloadSpec default applies, or
+    for capacity's pair flags the pair builder's preset.
+    """
+    for flag in flags.split():
+        field, options = _SPEC_FLAGS[flag]
+        parser.add_argument(flag, default=presets.get(field), **options)
+
+
+def _fields_set(values, flags: str) -> dict:
+    """The fields of ``flags`` that ``values`` sets, as their types.
+
+    ``values`` is the parsed arguments (``vars(args)``) or a recorded
+    stream's ``meta``; a missing or None value is unset.
+    """
+    names = (_SPEC_FLAGS[flag][0] for flag in flags.split())
+    return {name: _FIELD_TYPES[name](values[name]) for name in names
+            if values.get(name) is not None}
+
+
+def _spec_from(values, flags: str, **fixed) -> WorkloadSpec:
+    """The one spec builder: the fields ``flags`` set in ``values``,
+    then the subcommand's ``fixed`` fields."""
+    return WorkloadSpec(**dict(_fields_set(values, flags), **fixed))
+
+
 def _cmd_workload(args) -> int:
     from .sim.faults import FaultPlan
-    from .workload import WorkloadSpec, run_workload
+    from .workload import run_workload
 
-    spec = WorkloadSpec(
-        seed=args.seed, transport=args.transport, arrival=args.arrival,
-        load=args.load, concurrency=args.concurrency, requests=args.requests,
-        keys=args.keys, read_fraction=args.read_fraction,
-        scan_fraction=args.scan_fraction, key_distribution=args.dist,
-        zipf_s=args.zipf_s, nodes=args.nodes, replicas=args.replicas,
-        pipeline_window=args.pipeline_window, batch_keys=args.batch_keys,
-        cache_keys=args.cache_keys, cache_ttl_us=args.cache_ttl,
-        read_spread=args.read_spread, onesided_reads=args.onesided,
-        cpu_slots=args.cpu_slots, cpu_op_us=args.cpu_op_us,
-        admission=args.admission, admit_queue=args.admit_queue,
-        admit_deadline_us=args.admit_deadline,
-        retry_budget=args.retry_budget, retry_base_us=args.retry_base,
-        retry_jitter=args.retry_jitter, backpressure=args.backpressure,
-        slo_latency_us=args.slo_latency,
-        consistency=args.consistency, quorum_r=args.quorum_r,
-        quorum_w=args.quorum_w, read_repair=args.read_repair,
-        staleness=args.staleness, antientropy=args.antientropy,
-        antientropy_interval_us=args.antientropy_interval,
-        repl_queue_cap=args.repl_queue_cap)
+    spec = _spec_from(vars(args), _WORKLOAD_FLAGS)
     plan = None
     if args.fault_seed is not None:
         plan = FaultPlan.from_seed(args.fault_seed,
@@ -206,28 +351,20 @@ def _cmd_workload(args) -> int:
 
 def _coerce_spec_field(name: str, raw: str):
     """Coerce a ``field=value`` CLI override to the spec field's type."""
-    import dataclasses
-
-    from .workload import WorkloadSpec
-
-    types = {f.name: f.type for f in dataclasses.fields(WorkloadSpec)}
-    if name not in types:
+    if name not in _FIELD_TYPES:
         raise SystemExit("unknown WorkloadSpec field %r" % name)
-    kind = str(types[name])
-    if "bool" in kind:
+    kind = _FIELD_TYPES[name]
+    if kind is None:
+        raise SystemExit("field %s cannot be set from the command line"
+                         % name)
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise SystemExit("boolean field %s takes true/false, not %r"
                          % (name, raw))
-    if "int" in kind:
-        return int(raw)
-    if "float" in kind:
-        return float(raw)
-    if "str" in kind:
-        return raw
-    raise SystemExit("field %s cannot be set from the command line" % name)
+    return kind(raw)
 
 
 def _spec_overrides(pairs):
@@ -242,16 +379,10 @@ def _spec_overrides(pairs):
 
 
 def _cmd_record(args) -> int:
-    from .workload import (WorkloadSpec, diurnal, flash_crowd,
-                           record_stream, save_stream, skew_shift)
+    from .workload import (diurnal, flash_crowd, record_stream, save_stream,
+                           skew_shift)
 
-    spec = WorkloadSpec(
-        seed=args.seed, arrival=args.arrival, load=args.load,
-        concurrency=args.concurrency, requests=args.requests,
-        keys=args.keys, read_fraction=args.read_fraction,
-        scan_fraction=args.scan_fraction, key_distribution=args.dist,
-        zipf_s=args.zipf_s)
-    stream = record_stream(spec)
+    stream = record_stream(_spec_from(vars(args), _STREAM_FLAGS))
     for scenario in args.scenario or []:
         if scenario == "flash_crowd":
             stream = flash_crowd(stream, start_us=args.flash_at,
@@ -272,26 +403,9 @@ def _cmd_record(args) -> int:
 
 def _replay_spec(args, stream):
     """The replay spec: stream provenance + CLI serving overrides."""
-    import dataclasses
-
-    from .workload import WorkloadSpec
-
-    meta = stream.meta
-    spec = WorkloadSpec(
-        seed=int(meta.get("seed", 1)),
-        arrival=stream.arrival,
-        load=float(meta.get("load", 20000.0)),
-        concurrency=int(meta.get("concurrency", 8)),
-        requests=len(stream),
-        keys=int(meta.get("keys", 200)),
-        read_fraction=float(meta.get("read_fraction", 0.90)),
-        scan_fraction=float(meta.get("scan_fraction", 0.0)),
-        key_distribution=str(meta.get("key_distribution", "zipf")),
-        zipf_s=float(meta.get("zipf_s", 1.1)))
-    overrides = _spec_overrides(args.set)
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    spec = _spec_from(stream.meta, _STREAM_FLAGS, arrival=stream.arrival,
+                      requests=len(stream))
+    return replace(spec, **_spec_overrides(args.set))
 
 
 def _plain_path(spec) -> bool:
@@ -314,8 +428,6 @@ _GROUPED_NOTE = ("(stage attribution skipped: grouped dispatch — an SRPC "
 
 
 def _cmd_replay(args) -> int:
-    import dataclasses
-
     from .workload import load_stream, run_workload
 
     stream = load_stream(args.stream)
@@ -326,7 +438,7 @@ def _cmd_replay(args) -> int:
     if not args.ab:
         print(report_a.report())
         return 0
-    spec_b = dataclasses.replace(spec, **_spec_overrides(args.ab))
+    spec_b = replace(spec, **_spec_overrides(args.ab))
     report_b = run_workload(spec_b, stream=stream)
     print("== A: baseline ==")
     print(report_a.report())
@@ -344,7 +456,6 @@ def _cmd_replay(args) -> int:
     for p in (50.0, 95.0, 99.0):
         rows.append(["p%g us" % p, "%.1f" % report_a.percentile(p),
                      "%.1f" % report_b.percentile(p)])
-    from .bench.report import format_table
     print("\n".join(format_table(rows)))
     print()
     if _plain_path(spec) and _plain_path(spec_b):
@@ -359,15 +470,10 @@ def _cmd_replay(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .obs import build_profile, render_folded
-    from .workload import WorkloadSpec, run_workload
+    from .workload import run_workload
 
-    spec = WorkloadSpec(
-        seed=args.seed, transport=args.transport, arrival="open",
-        load=args.load, concurrency=args.concurrency,
-        requests=args.requests, keys=args.keys,
-        read_fraction=args.read_fraction, trace=True,
-        onesided_reads=args.onesided, tenant=args.tenant)
-    report = run_workload(spec)
+    report = run_workload(_spec_from(vars(args), _PROFILE_FLAGS,
+                                     arrival="open", trace=True))
     profile = build_profile(report.spans or [], metrics=report.metrics,
                             top_k=args.top)
     if not profile.requests:
@@ -390,8 +496,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    import dataclasses
-
     if args.bench:
         from .bench.report import load_bench_json
         from .obs import diff_bench_payloads
@@ -415,7 +519,7 @@ def _cmd_diff(args) -> int:
     print(stream.describe())
     print()
     spec = _replay_spec(args, stream)
-    spec_b = dataclasses.replace(spec, **_spec_overrides(args.ab))
+    spec_b = replace(spec, **_spec_overrides(args.ab))
     result = attribute_pair(spec, spec_b, stream=stream,
                             label=" ".join(args.ab))
     print(result.report())
@@ -424,107 +528,38 @@ def _cmd_diff(args) -> int:
 
 def _cmd_capacity(args) -> int:
     from .bench.capacity import (capacity_payload, capacity_sweep,
-                                 mitigation_spec_pair,
-                                 paired_capacity_sweep)
-    from .workload import WorkloadSpec
-
-    attr_pair = None
+                                 consistency_pair, mitigation_pair,
+                                 overload_pair, paired_capacity_sweep)
 
     loads = [float(x) for x in args.loads.split(",")]
-    spec = WorkloadSpec(
-        seed=args.seed, transport=args.transport, arrival="open",
-        concurrency=args.concurrency, requests=args.requests, keys=args.keys,
-        read_fraction=args.read_fraction, key_distribution=args.dist,
-        zipf_s=args.zipf_s)
-    # Unset mitigation flags mean "off" for a plain sweep but the
-    # documented defaults for the --ab B side (an A/B with everything
-    # off would compare a run against itself).
+    values = vars(args)
+    spec = _spec_from(values, _CAPACITY_FLAGS, arrival="open")
+    mitigations = _fields_set(values, _MITIGATION_FLAGS)
+    # A mode flag sweeps a pair whose unset flags take the pair
+    # builder's preset; without one the mitigation flags set the spec.
+    pair = None
     if args.consistency:
-        # The replica-correctness experiment (docs/REPLICATION.md):
-        # A = eventual + read-spreading, B = quorum + read repair.
-        # Implies --ab.
-        result = paired_capacity_sweep(
-            loads, spec, consistency=True,
-            quorum_r=args.quorum_r, quorum_w=args.quorum_w)
-        from dataclasses import replace
-        spec = replace(spec, consistency="quorum", read_repair=True,
-                       staleness=True, quorum_r=args.quorum_r,
-                       quorum_w=args.quorum_w)
+        pair = consistency_pair(spec, **_fields_set(values, _QUORUM_FLAGS))
     elif args.overload:
-        # The overload experiment (docs/OVERLOAD.md): both sides model
-        # contended node CPUs; only B arms admission + retry +
-        # backpressure.  Implies --ab.
-        result = paired_capacity_sweep(
-            loads, spec, overload=True,
-            cpu_slots=args.cpu_slots, cpu_op_us=args.cpu_op_us,
-            admit_queue=args.admit_queue,
-            admit_deadline_us=args.admit_deadline,
-            retry_budget=args.retry_budget,
-            retry_base_us=args.retry_base,
-            backpressure=not args.no_backpressure,
-            slo_latency_us=args.slo_latency)
-        # Document the B side in the JSON config block so the artifact
-        # is reproducible from its own payload (and the acceptance test
-        # can read the SLO threshold out of it).
-        from dataclasses import replace
-        spec = replace(spec, cpu_slots=args.cpu_slots,
-                       cpu_op_us=args.cpu_op_us,
-                       slo_latency_us=args.slo_latency,
-                       admission=True, admit_queue=args.admit_queue,
-                       admit_deadline_us=args.admit_deadline,
-                       retry_budget=args.retry_budget,
-                       retry_base_us=args.retry_base,
-                       backpressure=not args.no_backpressure)
+        pair = overload_pair(spec, **_fields_set(values, _OVERLOAD_FLAGS))
     elif args.ab:
-        if args.onesided:
-            # Isolate the bypass: unset client-side knobs stay neutral
-            # on the B side, so the knee movement is attributable to
-            # the one-sided read path alone.
-            ab_kwargs = dict(
-                pipeline_window=args.pipeline_window or 1,
-                batch_keys=args.batch_keys or 1,
-                cache_keys=args.cache_keys or 0,
-                cache_ttl_us=args.cache_ttl or 0.0,
-                read_spread=bool(args.read_spread),
-                onesided=True)
-        else:
-            ab_kwargs = dict(
-                pipeline_window=args.pipeline_window or 4,
-                batch_keys=args.batch_keys or 4,
-                cache_keys=args.cache_keys if args.cache_keys is not None
-                else 64,
-                cache_ttl_us=args.cache_ttl if args.cache_ttl is not None
-                else 2000.0,
-                read_spread=True if args.read_spread is None
-                else args.read_spread)
-        result = paired_capacity_sweep(loads, spec, **ab_kwargs)
-        attr_pair = mitigation_spec_pair(spec, **ab_kwargs)
+        pair = mitigation_pair(spec, **mitigations)
+    if pair is None:
+        result = capacity_sweep(loads, replace(spec, **mitigations))
     else:
-        from dataclasses import replace
-        spec = replace(spec,
-                       pipeline_window=args.pipeline_window or 1,
-                       batch_keys=args.batch_keys or 1,
-                       cache_keys=args.cache_keys or 0,
-                       cache_ttl_us=args.cache_ttl or 0.0,
-                       read_spread=bool(args.read_spread),
-                       onesided_reads=args.onesided)
-        result = capacity_sweep(loads, spec)
+        result = paired_capacity_sweep(loads, *pair)
     print(result.report())
-    if attr_pair is not None:
+    if pair is not None and result.kind == "mitigation":
         # Auto-emit the stage attribution for the mitigation A/B: one
         # traced paired run at the most interesting load (the baseline
         # knee if the sweep found one) explains *where* the knee moved.
-        base, mitigated = attr_pair
         attr_load = (result.baseline.knee_load
                      or result.mitigated.knee_load or max(loads))
         print()
-        if _plain_path(base) and _plain_path(mitigated):
-            from dataclasses import replace
-
+        if all(_plain_path(side) for side in pair):
             from .bench.attribution import attribute_pair
             attr = attribute_pair(
-                replace(base, load=attr_load),
-                replace(mitigated, load=attr_load),
+                *(side.with_load(attr_load) for side in pair),
                 label="capacity --ab at %.0f ops/s" % attr_load)
             print("== stage attribution at %.0f ops/s ==" % attr_load)
             print(attr.report())
@@ -532,9 +567,8 @@ def _cmd_capacity(args) -> int:
             print(_GROUPED_NOTE)
     if args.json:
         from .bench.report import write_bench_json
-        payload = capacity_payload(result, spec, loads)
         try:
-            write_bench_json(args.json, payload)
+            write_bench_json(args.json, capacity_payload(result))
         except OSError as exc:
             print("cannot write %s: %s" % (args.json, exc.strerror))
             return 1
@@ -548,15 +582,10 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_antientropy(args) -> int:
     from .sim.faults import Fault, FaultKind, FaultPlan, FaultSite
-    from .workload import WorkloadSpec, run_workload
+    from .workload import run_workload
 
-    spec = WorkloadSpec(
-        seed=args.seed, arrival="open", load=args.load,
-        concurrency=args.concurrency, requests=args.requests,
-        keys=args.keys, read_fraction=args.read_fraction,
-        staleness=True, antientropy=True,
-        antientropy_interval_us=args.interval,
-        repl_queue_cap=args.repl_queue_cap)
+    spec = _spec_from(vars(args), _ANTIENTROPY_FLAGS, arrival="open",
+                      staleness=True, antientropy=True)
     plan = None
     if args.crash_node >= 0:
         # One explicit replica-crash fault: the victim's apply loop
@@ -606,19 +635,10 @@ def _cmd_antientropy(args) -> int:
 
 def _cmd_explain(args) -> int:
     from .obs import assemble_traces, audit, explain_trace, format_tree
-    from .workload import WorkloadSpec, run_workload
+    from .workload import run_workload
 
-    spec = WorkloadSpec(
-        seed=args.seed, transport=args.transport, arrival="open",
-        load=args.load, concurrency=args.concurrency,
-        requests=args.requests, keys=args.keys,
-        read_fraction=args.read_fraction, trace=True,
-        onesided_reads=args.onesided,
-        telemetry=not args.no_telemetry,
-        slo_latency_us=args.slo_latency,
-        slo_latency_budget=args.slo_latency_budget,
-        slo_error_budget=args.slo_error_budget)
-    report = run_workload(spec)
+    report = run_workload(_spec_from(vars(args), _EXPLAIN_FLAGS,
+                                     arrival="open", trace=True))
     spans = report.spans or []
     trees = assemble_traces(spans)
     if not trees:
@@ -758,91 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "workload",
         help="run one deterministic workload against the KV service",
     )
-    workload.add_argument("--seed", type=int, default=1,
-                          help="workload seed (same seed => same report)")
-    workload.add_argument("--transport", choices=["srpc", "sockets"],
-                          default="srpc", help="client transport")
-    workload.add_argument("--arrival", choices=["open", "closed"],
-                          default="open", help="arrival process")
-    workload.add_argument("--load", type=float, default=20000.0,
-                          help="open-loop offered load (ops/s)")
-    workload.add_argument("--concurrency", type=int, default=8,
-                          help="worker processes")
-    workload.add_argument("--requests", type=int, default=400,
-                          help="total requests")
-    workload.add_argument("--keys", type=int, default=200,
-                          help="keyspace size")
-    workload.add_argument("--read-fraction", type=float, default=0.90,
-                          help="fraction of requests that are GETs")
-    workload.add_argument("--scan-fraction", type=float, default=0.0,
-                          help="fraction that are scans (uses sockets)")
-    workload.add_argument("--dist", choices=["zipf", "uniform"],
-                          default="zipf", help="key popularity")
-    workload.add_argument("--zipf-s", type=float, default=1.1,
-                          help="Zipf skew exponent (hotter keys as s grows)")
-    workload.add_argument("--nodes", type=int, choices=[4, 16], default=4,
-                          help="machine size")
-    workload.add_argument("--replicas", type=int, default=2,
-                          help="replicas per key")
-    workload.add_argument("--pipeline-window", type=int, default=1,
-                          help="SRPC multi-call window per binding (1 = off)")
-    workload.add_argument("--batch-keys", type=int, default=1,
-                          help="group GETs into multi_get batches (1 = off)")
-    workload.add_argument("--cache-keys", type=int, default=0,
-                          help="client LRU cache entries (0 = off)")
-    workload.add_argument("--cache-ttl", type=float, default=0.0,
-                          help="cache entry lifetime in us (0 = no TTL)")
-    workload.add_argument("--read-spread", action="store_true",
-                          help="rotate reads over the replica set")
-    workload.add_argument("--onesided", action="store_true",
-                          help="one-sided bypass GETs from exported shard "
-                               "regions (docs/ONESIDED.md)")
-    workload.add_argument("--cpu-slots", type=int, default=0,
-                          help="per-node CPU scheduler slots (0 = off)")
-    workload.add_argument("--cpu-op-us", type=float, default=10.0,
-                          help="handler CPU charge per op once --cpu-slots "
-                               "is set")
-    workload.add_argument("--admission", action="store_true",
-                          help="server-side admission control "
-                               "(docs/OVERLOAD.md)")
-    workload.add_argument("--admit-queue", type=int, default=32,
-                          help="bounded accept-queue occupancy per node")
-    workload.add_argument("--admit-deadline", type=float, default=0.0,
-                          help="queueing-delay budget in us (0 = none)")
-    workload.add_argument("--retry-budget", type=int, default=0,
-                          help="client retries after a rejection")
-    workload.add_argument("--retry-base", type=float, default=100.0,
-                          help="backoff base in us (doubles per attempt)")
-    workload.add_argument("--retry-jitter", type=float, default=0.5,
-                          help="jitter fraction on each backoff")
-    workload.add_argument("--backpressure", action="store_true",
-                          help="adaptive open-loop rate trimming on "
-                               "rejections")
-    workload.add_argument("--slo-latency", type=float, default=0.0,
-                          help="goodput threshold in us (0 = off)")
-    workload.add_argument("--consistency",
-                          choices=["eventual", "session", "quorum"],
-                          default="eventual",
-                          help="client consistency mode "
-                               "(docs/REPLICATION.md)")
-    workload.add_argument("--quorum-r", type=int, default=0,
-                          help="read quorum size (0 = majority)")
-    workload.add_argument("--quorum-w", type=int, default=0,
-                          help="write quorum size (0 = majority)")
-    workload.add_argument("--read-repair", action="store_true",
-                          help="repair stale replicas off the request path")
-    workload.add_argument("--staleness", action="store_true",
-                          help="score every GET against the newest "
-                               "acknowledged write")
-    workload.add_argument("--antientropy", action="store_true",
-                          help="run the background Merkle anti-entropy "
-                               "sweeper")
-    workload.add_argument("--antientropy-interval", type=float,
-                          default=2000.0,
-                          help="gap between anti-entropy sweeps (us)")
-    workload.add_argument("--repl-queue-cap", type=int, default=0,
-                          help="bound the replication queues (0 = "
-                               "unbounded; full queues drop and count)")
+    _add_spec_flags(workload, _WORKLOAD_FLAGS)
     workload.add_argument("--fault-seed", type=int, default=None,
                           help="arm a seeded fault plan")
     workload.add_argument("--fault-count", type=int, default=8,
@@ -855,26 +791,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--out", default="stream.json", metavar="PATH",
                         help="stream artifact output path")
-    record.add_argument("--seed", type=int, default=1,
-                        help="sampler seed (same seed => same stream)")
-    record.add_argument("--arrival", choices=["open", "closed"],
-                        default="open", help="arrival process to freeze")
-    record.add_argument("--load", type=float, default=20000.0,
-                        help="open-loop offered load (ops/s)")
-    record.add_argument("--concurrency", type=int, default=8,
-                        help="worker processes the stream is shaped for")
-    record.add_argument("--requests", type=int, default=400,
-                        help="total requests")
-    record.add_argument("--keys", type=int, default=200,
-                        help="keyspace size")
-    record.add_argument("--read-fraction", type=float, default=0.90,
-                        help="fraction of requests that are GETs")
-    record.add_argument("--scan-fraction", type=float, default=0.0,
-                        help="fraction that are scans")
-    record.add_argument("--dist", choices=["zipf", "uniform"],
-                        default="zipf", help="key popularity")
-    record.add_argument("--zipf-s", type=float, default=1.1,
-                        help="Zipf skew exponent")
+    _add_spec_flags(record, _STREAM_FLAGS)
     record.add_argument("--scenario", action="append",
                         choices=["flash_crowd", "diurnal", "skew_shift"],
                         help="shape the stream (repeatable, applied in "
@@ -912,75 +829,33 @@ def _build_parser() -> argparse.ArgumentParser:
     capacity = sub.add_parser(
         "capacity",
         help="sweep offered load vs tail latency and find the knee",
+        description="Without a mode flag, sweep one spec (the mitigation "
+                    "flags set it).  --ab sweeps the mitigation pair: A "
+                    "with every client-side mitigation off, B with the "
+                    "mitigation flags over the preset (%s), or with "
+                    "--onesided over all-off, isolating the bypass.  "
+                    "--overload and --consistency sweep their pairs "
+                    "(docs/OVERLOAD.md, docs/REPLICATION.md); unset pair "
+                    "flags take the pair's preset."
+                    % ", ".join("%s=%s" % kv for kv in MITIGATIONS.items()),
     )
-    capacity.add_argument("--seed", type=int, default=1,
-                          help="workload seed for every point")
-    capacity.add_argument("--transport", choices=["srpc", "sockets"],
-                          default="srpc", help="client transport")
+    _add_spec_flags(capacity, _CAPACITY_FLAGS, requests=300)
     capacity.add_argument("--loads",
                           default="10000,20000,40000,80000,160000,320000",
                           help="comma-separated offered loads (ops/s)")
-    capacity.add_argument("--concurrency", type=int, default=8,
-                          help="worker processes per point")
-    capacity.add_argument("--requests", type=int, default=300,
-                          help="requests per point")
-    capacity.add_argument("--keys", type=int, default=200,
-                          help="keyspace size")
-    capacity.add_argument("--read-fraction", type=float, default=0.90,
-                          help="fraction of requests that are GETs")
-    capacity.add_argument("--dist", choices=["zipf", "uniform"],
-                          default="zipf", help="key popularity")
-    capacity.add_argument("--zipf-s", type=float, default=1.1,
-                          help="Zipf skew exponent (hotter keys as s grows)")
     capacity.add_argument("--ab", action="store_true",
                           help="paired A/B sweep: mitigations off, then on")
-    capacity.add_argument("--pipeline-window", type=int, default=None,
-                          help="SRPC multi-call window (B side of --ab)")
-    capacity.add_argument("--batch-keys", type=int, default=None,
-                          help="multi_get batch size (B side of --ab)")
-    capacity.add_argument("--cache-keys", type=int, default=None,
-                          help="client LRU cache entries (B side of --ab)")
-    capacity.add_argument("--cache-ttl", type=float, default=None,
-                          help="cache entry lifetime in us (B side of --ab)")
-    capacity.add_argument("--read-spread", action="store_const", const=True,
-                          default=None,
-                          help="rotate reads over replicas (B side of --ab)")
-    capacity.add_argument("--onesided", action="store_true",
-                          help="one-sided bypass GETs; as the B side of "
-                               "--ab the client-side mitigations default "
-                               "to off so the bypass is isolated")
     capacity.add_argument("--overload", action="store_true",
                           help="overload-control A/B (docs/OVERLOAD.md): "
                                "both sides model contended CPUs, only B "
                                "arms admission + retry + backpressure")
-    capacity.add_argument("--cpu-slots", type=int, default=1,
-                          help="per-node CPU slots (--overload both sides)")
-    capacity.add_argument("--cpu-op-us", type=float, default=50.0,
-                          help="handler CPU per op (--overload both sides)")
-    capacity.add_argument("--admit-queue", type=int, default=8,
-                          help="accept-queue bound (--overload B side)")
-    capacity.add_argument("--admit-deadline", type=float, default=400.0,
-                          help="queueing deadline us (--overload B side)")
-    capacity.add_argument("--retry-budget", type=int, default=1,
-                          help="client retry budget (--overload B side)")
-    capacity.add_argument("--retry-base", type=float, default=50.0,
-                          help="backoff base us (--overload B side)")
     capacity.add_argument("--consistency", action="store_true",
                           help="consistency A/B (docs/REPLICATION.md): A "
                                "spreads reads under eventual consistency, "
                                "B runs quorum reads/writes + read repair "
                                "and must serve zero stale reads")
-    capacity.add_argument("--quorum-r", type=int, default=0,
-                          help="read quorum size (--consistency B side; "
-                               "0 = majority)")
-    capacity.add_argument("--quorum-w", type=int, default=0,
-                          help="write quorum size (--consistency B side; "
-                               "0 = majority)")
-    capacity.add_argument("--no-backpressure", action="store_true",
-                          help="disable the B side's rate trimming "
-                               "(--overload)")
-    capacity.add_argument("--slo-latency", type=float, default=1000.0,
-                          help="goodput threshold us (--overload)")
+    _add_spec_flags(capacity, " ".join(
+        (_MITIGATION_FLAGS, _OVERLOAD_FLAGS, _QUORUM_FLAGS)))
     capacity.add_argument("--json", default=None, metavar="PATH",
                           help="also write the machine-readable sweep "
                                "(knee, p50/p95/p99 per point, config, seed)")
@@ -988,24 +863,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "antientropy",
         help="provoke replica divergence and watch anti-entropy heal it",
     )
-    antientropy.add_argument("--seed", type=int, default=1,
-                             help="workload seed (same seed => same run)")
-    antientropy.add_argument("--load", type=float, default=40000.0,
-                             help="open-loop offered load (ops/s)")
-    antientropy.add_argument("--concurrency", type=int, default=4,
-                             help="worker processes")
-    antientropy.add_argument("--requests", type=int, default=300,
-                             help="total requests")
-    antientropy.add_argument("--keys", type=int, default=80,
-                             help="keyspace size")
-    antientropy.add_argument("--read-fraction", type=float, default=0.60,
-                             help="GET fraction (writes create divergence "
-                                  "when replication drops)")
-    antientropy.add_argument("--interval", type=float, default=1500.0,
-                             help="gap between anti-entropy sweeps (us)")
-    antientropy.add_argument("--repl-queue-cap", type=int, default=2,
-                             help="replication queue bound; full queues "
-                                  "drop records (0 = unbounded, no loss)")
+    _add_spec_flags(antientropy, _ANTIENTROPY_FLAGS, load=40000.0,
+                    concurrency=4, requests=300, keys=80, read_fraction=0.60,
+                    antientropy_interval_us=1500.0, repl_queue_cap=2)
     antientropy.add_argument("--crash-node", type=int, default=1,
                              help="replica whose apply loop crashes "
                                   "(-1 = no crash fault)")
@@ -1022,55 +882,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "explain",
         help="run a traced workload and explain one request's causal tree",
     )
-    explain.add_argument("--seed", type=int, default=1,
-                         help="workload seed (same seed => same trees)")
-    explain.add_argument("--transport", choices=["srpc", "sockets"],
-                         default="srpc", help="client transport")
-    explain.add_argument("--load", type=float, default=20000.0,
-                         help="open-loop offered load (ops/s)")
-    explain.add_argument("--concurrency", type=int, default=4,
-                         help="worker processes")
-    explain.add_argument("--requests", type=int, default=80,
-                         help="total requests in the traced run")
-    explain.add_argument("--keys", type=int, default=64,
-                         help="keyspace size")
-    explain.add_argument("--read-fraction", type=float, default=0.70,
-                         help="GET fraction (writes replicate cross-node)")
+    _add_spec_flags(explain, _EXPLAIN_FLAGS, concurrency=4, requests=80,
+                    keys=64, read_fraction=0.70, telemetry=True,
+                    slo_latency_us=400.0, slo_latency_budget=0.1,
+                    slo_error_budget=0.01)
     explain.add_argument("--trace-id", type=int, default=None,
                          help="explain this trace id (default: the tree "
                               "touching the most mesh nodes)")
-    explain.add_argument("--onesided", action="store_true",
-                         help="trace with one-sided bypass GETs enabled")
-    explain.add_argument("--no-telemetry", action="store_true",
-                         help="skip the time-series sampler and SLO report")
-    explain.add_argument("--slo-latency", type=float, default=400.0,
-                         help="per-request slow threshold (us)")
-    explain.add_argument("--slo-latency-budget", type=float, default=0.1,
-                         help="allowed slow-request fraction")
-    explain.add_argument("--slo-error-budget", type=float, default=0.01,
-                         help="allowed error fraction")
     profile = sub.add_parser(
         "profile",
         help="fold a traced workload into a fleet-wide flame profile",
     )
-    profile.add_argument("--seed", type=int, default=1,
-                         help="workload seed (same seed => same profile)")
-    profile.add_argument("--transport", choices=["srpc", "sockets"],
-                         default="srpc", help="client transport")
-    profile.add_argument("--load", type=float, default=20000.0,
-                         help="open-loop offered load (ops/s)")
-    profile.add_argument("--concurrency", type=int, default=4,
-                         help="worker processes")
-    profile.add_argument("--requests", type=int, default=120,
-                         help="total requests in the traced run")
-    profile.add_argument("--keys", type=int, default=64,
-                         help="keyspace size")
-    profile.add_argument("--read-fraction", type=float, default=0.70,
-                         help="GET fraction (writes replicate cross-node)")
-    profile.add_argument("--tenant", default="",
-                         help="tag every request for per-tenant grouping")
-    profile.add_argument("--onesided", action="store_true",
-                         help="profile with one-sided bypass GETs enabled")
+    _add_spec_flags(profile, _PROFILE_FLAGS, concurrency=4, requests=120,
+                    keys=64, read_fraction=0.70)
     profile.add_argument("--folded", default=None, metavar="PATH",
                          help="also write collapsed stacks "
                               "(flamegraph.pl-compatible)")

@@ -10,6 +10,12 @@ classic saturation signature (docs/WORKLOADS.md).
 
 :func:`find_knee` works on the measured points alone, so it can be unit
 tested on synthetic data without running a sweep.
+
+An A/B is a pair of specs that differ only in the mechanism under test:
+:func:`paired_capacity_sweep` sweeps both, and the three pair builders
+(:func:`mitigation_pair`, :func:`overload_pair`,
+:func:`consistency_pair`) derive the two sides of each experiment from
+one spec, each holding its preset once.
 """
 
 from __future__ import annotations
@@ -20,36 +26,80 @@ from typing import List, Optional, Sequence
 from ..workload.spec import WorkloadSpec
 from .report import format_table
 
-__all__ = ["CapacityPoint", "CapacityResult", "PairedCapacityResult",
-           "capacity_sweep", "find_knee", "mitigation_spec_pair",
-           "paired_capacity_sweep", "capacity_payload"]
+__all__ = ["CapacityPoint", "CapacityResult", "MITIGATIONS",
+           "MITIGATIONS_OFF", "PairedCapacityResult", "capacity_payload",
+           "capacity_sweep", "consistency_pair", "find_knee",
+           "mitigation_pair", "overload_pair", "paired_capacity_sweep"]
+
+#: Every client-side mitigation off: the mitigation pair's A side and
+#: the base of the overload and consistency pairs.
+MITIGATIONS_OFF = dict(pipeline_window=1, batch_keys=1, cache_keys=0,
+                       cache_ttl_us=0.0, read_spread=False,
+                       onesided_reads=False)
+
+#: The mitigations the B side of :func:`mitigation_pair` turns on.
+MITIGATIONS = dict(pipeline_window=4, batch_keys=4, cache_keys=64,
+                   cache_ttl_us=2000.0, read_spread=True)
 
 
-def mitigation_spec_pair(spec: WorkloadSpec,
-                         pipeline_window: int = 4,
-                         batch_keys: int = 4,
-                         cache_keys: int = 64,
-                         cache_ttl_us: float = 2000.0,
-                         read_spread: bool = True,
-                         onesided: bool = False):
-    """The exactly-paired (baseline, mitigated) specs of an A/B sweep.
+def mitigation_pair(spec: WorkloadSpec, **knobs):
+    """The (A, B) specs of the mitigation experiment (``capacity --ab``).
 
     Same seed, mix, and keyspace — A with every client-side mitigation
-    forced off, B with the given values — so the pair differs only in
-    the serving-stack knobs under test.  Shared by
-    :func:`paired_capacity_sweep` and the stage-attribution runs
-    (``repro diff`` / ``capacity --ab``), so both always compare the
-    same two configurations.
+    off, B with ``knobs`` over the :data:`MITIGATIONS` preset — so the
+    pair differs only in the serving-stack knobs under test.  With
+    ``onesided_reads=True`` the pair isolates the one-sided bypass
+    instead (docs/ONESIDED.md): B's other mitigations stay off unless
+    ``knobs`` sets them.
     """
-    baseline = replace(spec, pipeline_window=1, batch_keys=1,
-                       cache_keys=0, cache_ttl_us=0.0,
-                       read_spread=False, onesided_reads=False)
-    mitigated = replace(spec, pipeline_window=pipeline_window,
-                        batch_keys=batch_keys, cache_keys=cache_keys,
-                        cache_ttl_us=cache_ttl_us,
-                        read_spread=read_spread,
-                        onesided_reads=onesided)
-    return baseline, mitigated
+    baseline = replace(spec, **MITIGATIONS_OFF)
+    preset = {} if knobs.get("onesided_reads") else MITIGATIONS
+    return baseline, replace(baseline, **dict(preset, **knobs))
+
+
+def overload_pair(spec: WorkloadSpec, cpu_slots: int = 1,
+                  cpu_op_us: float = 50.0, slo_latency_us: float = 1000.0,
+                  admit_queue: int = 8, admit_deadline_us: float = 400.0,
+                  retry_budget: int = 1, retry_base_us: float = 50.0,
+                  backpressure: bool = True):
+    """The (A, B) specs of the overload experiment (docs/OVERLOAD.md).
+
+    BOTH sides model contended node CPUs (``cpu_slots``/``cpu_op_us``)
+    and score goodput against ``slo_latency_us``, the hot-key
+    mitigations stay off on both sides, and only B arms admission
+    control, retry budgets, and backpressure — so the pair isolates
+    whether the *controls* (not a faster server) preserve goodput past
+    the knee.  The ``cpu_op_us`` default of 50 (~3000 cycles on a
+    60 MHz Pentium) is the calibrated point where handler CPU — not the
+    client worker pool — is the binding resource, so the knee lives
+    server-side where admission can see it.
+    """
+    baseline = replace(spec, **MITIGATIONS_OFF, cpu_slots=cpu_slots,
+                       cpu_op_us=cpu_op_us, slo_latency_us=slo_latency_us,
+                       admission=False, retry_budget=0, backpressure=False)
+    return baseline, replace(baseline, admission=True,
+                             admit_queue=admit_queue,
+                             admit_deadline_us=admit_deadline_us,
+                             retry_budget=retry_budget,
+                             retry_base_us=retry_base_us,
+                             backpressure=backpressure)
+
+
+def consistency_pair(spec: WorkloadSpec, quorum_r: int = 0,
+                     quorum_w: int = 0):
+    """The (A, B) specs of the replica-correctness experiment.
+
+    Both sides score every GET against the newest acknowledged write
+    (docs/REPLICATION.md).  A spreads reads over the replica set under
+    eventual consistency — replication lag shows up as a nonzero stale
+    rate; B pays for quorum reads and writes (R + W > N) plus read
+    repair and must serve zero stale reads at every load.
+    """
+    eventual = replace(spec, **dict(MITIGATIONS_OFF, read_spread=True),
+                       consistency="eventual", staleness=True)
+    return eventual, replace(eventual, read_spread=False,
+                             consistency="quorum", read_repair=True,
+                             quorum_r=quorum_r, quorum_w=quorum_w)
 
 
 @dataclass
@@ -70,12 +120,19 @@ class CapacityPoint:
 
 @dataclass
 class CapacityResult:
-    """A full sweep for one transport, plus the detected knee."""
+    """A full sweep of one spec, plus the detected knee."""
 
-    transport: str
-    arrival: str
+    spec: WorkloadSpec
     points: List[CapacityPoint] = field(default_factory=list)
     knee_load: Optional[float] = None
+
+    @property
+    def transport(self) -> str:
+        return self.spec.transport
+
+    @property
+    def arrival(self) -> str:
+        return self.spec.arrival
 
     def rows(self) -> List[List[str]]:
         """The sweep as table rows (header first)."""
@@ -190,7 +247,7 @@ def capacity_sweep(loads: Sequence[float],
     spec = base_spec if base_spec is not None else WorkloadSpec()
     if spec.arrival != "open":
         raise ValueError("capacity sweeps need an open-loop spec")
-    result = CapacityResult(transport=spec.transport, arrival=spec.arrival)
+    result = CapacityResult(spec=spec)
     for load in sorted(loads):
         rep = run_workload(spec.with_load(load))
         result.points.append(CapacityPoint(
@@ -211,37 +268,54 @@ def capacity_sweep(loads: Sequence[float],
 
 @dataclass
 class PairedCapacityResult:
-    """An A/B capacity sweep: identical spec and seed, mitigations off/on.
+    """An A/B capacity sweep over a pair of specs.
 
     The paired comparison is the serving-stack experiment of
-    docs/WORKLOADS.md: same arrival sequence, same key popularity, same
-    value sizes — the only difference is the client-side mitigation
-    knobs, so any knee movement is attributable to them.
+    docs/WORKLOADS.md: same seed, so the same arrival sequence, key
+    popularity, and value sizes — the two specs differ only in the
+    mechanism under test, so any knee movement is attributable to it.
+    Which experiment the pair is, and its label, follow from what B
+    changes (:attr:`kind`).
     """
 
     baseline: CapacityResult
     mitigated: CapacityResult
-    label: str = ""
-    #: True for an overload-control pair (A = uncontrolled, B =
-    #: admission + retry + backpressure): the verdict then compares
-    #: goodput survival past the knee rather than knee movement.
-    overload: bool = False
-    #: True for a consistency pair (A = eventual + read-spreading,
-    #: B = quorum + read repair): the verdict then compares stale-read
-    #: rates — quorum must serve zero (docs/REPLICATION.md).
-    consistency: bool = False
+
+    @property
+    def kind(self) -> str:
+        """``"consistency"`` when B changes the consistency mode (the
+        verdict compares stale-read rates — quorum must serve zero),
+        ``"overload"`` when B arms overload controls (the verdict
+        compares goodput survival past the knee), else
+        ``"mitigation"`` (the verdict compares knee movement)."""
+        a, b = self.baseline.spec, self.mitigated.spec
+        if a.consistency != b.consistency:
+            return "consistency"
+        if (a.admission, a.retry_budget, a.backpressure) \
+                != (b.admission, b.retry_budget, b.backpressure):
+            return "overload"
+        return "mitigation"
+
+    @property
+    def label(self) -> str:
+        """B's spec-line suffix for the knobs this kind of pair tests."""
+        b = self.mitigated.spec
+        return {"consistency": b.consistency_label,
+                "overload": b.overload_label,
+                "mitigation": b.mitigation_label}[self.kind]()
 
     def report(self) -> str:
         """Both sweep tables plus the knee comparison verdict."""
         lines = ["paired capacity sweep (A = baseline, B = %s)"
-                 % (self.label or "mitigated")]
+                 % self.label]
         lines.append("")
         lines.append("A: " + self.baseline.report())
         lines.append("")
         lines.append("B: " + self.mitigated.report())
         lines.append("")
         a, b = self.baseline.knee_load, self.mitigated.knee_load
-        if self.consistency:
+        kind = self.kind
+        if kind == "consistency":
             # A consistency pair trades capacity for correctness on
             # purpose; frame the knees as quorum's cost, not as a
             # mitigation that failed to help.
@@ -278,7 +352,7 @@ class PairedCapacityResult:
         else:
             lines.append("verdict: neither run saturated inside the "
                          "swept range")
-        if self.overload and self.mitigated.knee_load is not None:
+        if kind == "overload" and self.mitigated.knee_load is not None:
             knee = self.mitigated.knee_load
             knee_goodput = max(
                 (pt.goodput for pt in self.mitigated.points
@@ -300,7 +374,7 @@ class PairedCapacityResult:
                         "                  uncontrolled goodput past the "
                         "knee falls to %.0f ops/s"
                         % min(pt.goodput for pt in base_past))
-        if self.consistency:
+        if kind == "consistency":
             a_reads = sum(pt.versioned_reads for pt in self.baseline.points)
             a_stale = sum(pt.stale_reads for pt in self.baseline.points)
             b_reads = sum(pt.versioned_reads for pt in self.mitigated.points)
@@ -318,131 +392,46 @@ class PairedCapacityResult:
         """Both sweeps as a JSON-ready dict keyed A/B."""
         return {
             "mode": "ab",
-            "overload": self.overload,
-            "consistency": self.consistency,
+            "overload": self.kind == "overload",
+            "consistency": self.kind == "consistency",
             "label": self.label,
             "baseline": self.baseline.to_payload(),
             "mitigated": self.mitigated.to_payload(),
         }
 
 
-def paired_capacity_sweep(loads: Sequence[float],
-                          base_spec: Optional[WorkloadSpec] = None,
-                          pipeline_window: int = 4,
-                          batch_keys: int = 4,
-                          cache_keys: int = 64,
-                          cache_ttl_us: float = 2000.0,
-                          read_spread: bool = True,
-                          onesided: bool = False,
-                          overload: bool = False,
-                          cpu_slots: int = 1,
-                          cpu_op_us: float = 50.0,
-                          admit_queue: int = 8,
-                          admit_deadline_us: float = 400.0,
-                          retry_budget: int = 1,
-                          retry_base_us: float = 50.0,
-                          backpressure: bool = True,
-                          slo_latency_us: float = 1000.0,
-                          consistency: bool = False,
-                          quorum_r: int = 0,
-                          quorum_w: int = 0,
-                          tail_factor: float = 3.0,
+def paired_capacity_sweep(loads: Sequence[float], baseline: WorkloadSpec,
+                          variant: WorkloadSpec, tail_factor: float = 3.0,
                           shortfall: float = 0.9) -> PairedCapacityResult:
-    """Sweep the same loads twice — mitigations off, then on.
+    """Sweep the same loads over both sides of a pair: A, then B.
 
-    ``base_spec`` supplies seed, mix, and keyspace; its mitigation
-    knobs are forced OFF for the A run and replaced with the given
-    values for the B run, so the pair differs only in the serving-stack
-    mitigations under test.  ``onesided=True`` runs the B side with
-    one-sided bypass reads (docs/ONESIDED.md) — usually *instead of*
-    the client-side mitigations, so pass the neutral values for the
-    others when isolating the bypass.
-
-    ``overload=True`` selects the overload-control experiment instead
-    (docs/OVERLOAD.md): BOTH sides model contended node CPUs
-    (``cpu_slots``/``cpu_op_us``) and score goodput against
-    ``slo_latency_us``, the hot-key mitigations stay off on both
-    sides, and only the B side arms admission control, retry budgets,
-    and backpressure — so the pair isolates whether the *controls*
-    (not a faster server) preserve goodput past the knee.  The
-    ``cpu_op_us`` default of 50 (~3000 cycles on a 60 MHz Pentium) is
-    the calibrated point where handler CPU — not the client worker
-    pool — is the binding resource, so the knee lives server-side
-    where admission can see it (docs/OVERLOAD.md).
+    Build the pair with :func:`mitigation_pair`, :func:`overload_pair`
+    or :func:`consistency_pair`, or pass any two specs that differ only
+    in the mechanism under test.
     """
-    spec = base_spec if base_spec is not None else WorkloadSpec()
-    if consistency:
-        # The replica-correctness experiment (docs/REPLICATION.md):
-        # both sides score every GET against the newest acknowledged
-        # write.  A spreads reads over the replica set under eventual
-        # consistency — replication lag shows up as a nonzero stale
-        # rate; B pays for quorum reads and writes (R + W > N) plus
-        # read repair and must serve zero stale reads at every load.
-        eventual_spec = replace(spec, pipeline_window=1, batch_keys=1,
-                                cache_keys=0, cache_ttl_us=0.0,
-                                onesided_reads=False, read_spread=True,
-                                consistency="eventual", staleness=True)
-        quorum_spec = replace(eventual_spec, read_spread=False,
-                              consistency="quorum", read_repair=True,
-                              quorum_r=quorum_r, quorum_w=quorum_w)
-        baseline = capacity_sweep(loads, eventual_spec,
-                                  tail_factor=tail_factor,
-                                  shortfall=shortfall)
-        quorum = capacity_sweep(loads, quorum_spec,
-                                tail_factor=tail_factor,
-                                shortfall=shortfall)
-        return PairedCapacityResult(baseline=baseline, mitigated=quorum,
-                                    label=quorum_spec.consistency_label(),
-                                    consistency=True)
-    if overload:
-        baseline_spec = replace(spec, pipeline_window=1, batch_keys=1,
-                                cache_keys=0, cache_ttl_us=0.0,
-                                read_spread=False, onesided_reads=False,
-                                cpu_slots=cpu_slots, cpu_op_us=cpu_op_us,
-                                slo_latency_us=slo_latency_us,
-                                admission=False, retry_budget=0,
-                                backpressure=False)
-        controlled_spec = replace(baseline_spec, admission=True,
-                                  admit_queue=admit_queue,
-                                  admit_deadline_us=admit_deadline_us,
-                                  retry_budget=retry_budget,
-                                  retry_base_us=retry_base_us,
-                                  backpressure=backpressure)
-        baseline = capacity_sweep(loads, baseline_spec,
-                                  tail_factor=tail_factor,
-                                  shortfall=shortfall)
-        controlled = capacity_sweep(loads, controlled_spec,
-                                    tail_factor=tail_factor,
-                                    shortfall=shortfall)
-        return PairedCapacityResult(baseline=baseline, mitigated=controlled,
-                                    label=controlled_spec.overload_label(),
-                                    overload=True)
-    baseline_spec, mitigated_spec = mitigation_spec_pair(
-        spec, pipeline_window=pipeline_window, batch_keys=batch_keys,
-        cache_keys=cache_keys, cache_ttl_us=cache_ttl_us,
-        read_spread=read_spread, onesided=onesided)
-    baseline = capacity_sweep(loads, baseline_spec, tail_factor=tail_factor,
-                              shortfall=shortfall)
-    mitigated = capacity_sweep(loads, mitigated_spec, tail_factor=tail_factor,
-                               shortfall=shortfall)
-    return PairedCapacityResult(baseline=baseline, mitigated=mitigated,
-                                label=mitigated_spec.mitigation_label())
+    return PairedCapacityResult(
+        baseline=capacity_sweep(loads, baseline, tail_factor=tail_factor,
+                                shortfall=shortfall),
+        mitigated=capacity_sweep(loads, variant, tail_factor=tail_factor,
+                                 shortfall=shortfall))
 
 
-def capacity_payload(result, spec: WorkloadSpec,
-                     loads: Sequence[float]) -> dict:
+def capacity_payload(result) -> dict:
     """The machine-readable sweep document (``BENCH_capacity.json``).
 
     Wraps a :class:`CapacityResult` or :class:`PairedCapacityResult`
     with the full workload configuration and seed, so a later session
     (or CI artifact consumer) can reproduce the exact sweep: same spec,
-    same loads, same knee.
+    same loads, same knee.  A pair records its B side (the variant),
+    from which the pair's builder rebuilds A.
     """
+    sweep = (result.mitigated if isinstance(result, PairedCapacityResult)
+             else result)
     payload = {
         "schema": "repro.bench.capacity/v1",
-        "seed": spec.seed,
-        "loads": sorted(float(x) for x in loads),
-        "config": asdict(spec),
+        "seed": sweep.spec.seed,
+        "loads": [pt.offered_load for pt in sweep.points],
+        "config": asdict(sweep.spec),
     }
     payload.update(result.to_payload())
     payload.setdefault("mode", "sweep")

@@ -5,6 +5,7 @@ import pytest
 from repro.__main__ import main
 from repro.bench.sweeps import au_word_latency, du_0copy_bandwidth, sweep_config
 from repro.hardware.config import MachineConfig
+from repro.workload import WorkloadSpec, record_stream, save_stream
 
 
 class TestCli:
@@ -29,6 +30,16 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure-nine"])
+
+    def test_set_refuses_non_scalar_fields(self, tmp_path):
+        """``--set`` coerces by the field's own type: a tuple field is
+        refused with a message, not passed on as an int."""
+        path = str(tmp_path / "stream.json")
+        save_stream(record_stream(WorkloadSpec(requests=20)), path)
+        with pytest.raises(SystemExit,
+                           match="value_sizes cannot be set from the "
+                                 "command line"):
+            main(["replay", "--stream", path, "--set", "value_sizes=32"])
 
 
 class TestSweeps:

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.bench.capacity import paired_capacity_sweep
+from repro.bench.capacity import overload_pair, paired_capacity_sweep
 from repro.workload import WorkloadSpec
 from repro.workload.engine import run_workload
 
@@ -126,15 +126,16 @@ def test_committed_bench_reproduces_from_its_own_config():
     points exactly (same sim, same seed, same floats)."""
     payload = bench_payload()
     spec = spec_from_config(payload["config"])
-    result = paired_capacity_sweep(payload["loads"], spec, overload=True,
-                                   cpu_slots=spec.cpu_slots,
-                                   cpu_op_us=spec.cpu_op_us,
-                                   admit_queue=spec.admit_queue,
-                                   admit_deadline_us=spec.admit_deadline_us,
-                                   retry_budget=spec.retry_budget,
-                                   retry_base_us=spec.retry_base_us,
-                                   backpressure=spec.backpressure,
-                                   slo_latency_us=spec.slo_latency_us)
+    pair = overload_pair(spec, cpu_slots=spec.cpu_slots,
+                         cpu_op_us=spec.cpu_op_us,
+                         slo_latency_us=spec.slo_latency_us,
+                         admit_queue=spec.admit_queue,
+                         admit_deadline_us=spec.admit_deadline_us,
+                         retry_budget=spec.retry_budget,
+                         retry_base_us=spec.retry_base_us,
+                         backpressure=spec.backpressure)
+    assert pair[1] == spec, "the config block is the pair's B side"
+    result = paired_capacity_sweep(payload["loads"], *pair)
     fresh = result.to_payload()
     assert fresh["baseline"] == payload["baseline"]
     assert fresh["mitigated"] == payload["mitigated"]
