@@ -468,12 +468,20 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _print_dropped_spans(report) -> None:
+    """Say so when a traced run outgrew the tracer's span limit."""
+    if report.spans_dropped:
+        print("tracer limit of %d spans reached: %d more spans refused"
+              % (len(report.spans), report.spans_dropped))
+
+
 def _cmd_profile(args) -> int:
     from .obs import build_profile, render_folded
     from .workload import run_workload
 
     report = run_workload(_spec_from(vars(args), _PROFILE_FLAGS,
                                      arrival="open", trace=True))
+    _print_dropped_spans(report)
     profile = build_profile(report.spans or [], metrics=report.metrics,
                             top_k=args.top)
     if not profile.requests:
@@ -639,6 +647,7 @@ def _cmd_explain(args) -> int:
 
     report = run_workload(_spec_from(vars(args), _EXPLAIN_FLAGS,
                                      arrival="open", trace=True))
+    _print_dropped_spans(report)
     spans = report.spans or []
     trees = assemble_traces(spans)
     if not trees:

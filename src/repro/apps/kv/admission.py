@@ -48,6 +48,16 @@ LANE_CHEAP = 0       # GET / multi_get — small, latency-sensitive
 LANE_BULK = 1        # PUT / DELETE / SCAN — value bytes + fan-out
 LANE_BACKGROUND = 2  # replication apply — off the request path
 
+# Brownout policy of every AdmissionController: the shed-fraction SLO
+# (budget, window length, burn-rate windows and factor) and how long a
+# triggered brownout rejects the bulk lane.
+SHED_BUDGET = 0.05
+WINDOW_US = 500.0
+SHORT_WINDOWS = 4
+LONG_WINDOWS = 24
+BURN_FACTOR = 4.0
+BROWNOUT_US = 2000.0
+
 
 class KvRejectedError(Exception):
     """A request the service shed and the client's retry budget could
@@ -188,27 +198,26 @@ class AdmissionController:
     ``kv.server.reject`` complete span when tracing is on, so a shed
     request's causal tree ends at the rejection with no handler span).
 
-    The shed-fraction SLO drives brownout: when the two-window burn
-    rate alerts, the bulk lane is rejected at the door for
-    ``brownout_us``, shifting remaining capacity to the cheap lane.
+    The shed-fraction SLO drives brownout: the shed fraction of each
+    :data:`WINDOW_US` window feeds a burn-rate monitor with budget
+    :data:`SHED_BUDGET`; when its short window (:data:`SHORT_WINDOWS`)
+    burns at :data:`BURN_FACTOR` times the budget and the long window
+    (:data:`LONG_WINDOWS`) confirms, the bulk lane is rejected at the
+    door for :data:`BROWNOUT_US`, shifting remaining capacity to the
+    cheap lane.
     """
 
     def __init__(self, system, node_id: int, cpu,
-                 bound: int = 32, deadline_us: float = 0.0,
-                 shed_budget: float = 0.05, window_us: float = 500.0,
-                 short_windows: int = 4, long_windows: int = 24,
-                 burn_factor: float = 4.0, brownout_us: float = 2000.0):
+                 bound: int = 32, deadline_us: float = 0.0):
         self.sim = system.sim
         self.tracer = system.machine.tracer
         self.node_id = node_id
         self.cpu = cpu
         self.queue = AdmissionQueue(bound, deadline_us)
-        self.slo = SloMonitor([SloObjective("shed", "slow", shed_budget)],
-                              short_windows=short_windows,
-                              long_windows=long_windows,
-                              burn_factor=burn_factor)
-        self.window_us = window_us
-        self.brownout_us = brownout_us
+        self.slo = SloMonitor([SloObjective("shed", "slow", SHED_BUDGET)],
+                              short_windows=SHORT_WINDOWS,
+                              long_windows=LONG_WINDOWS,
+                              burn_factor=BURN_FACTOR)
         self.offers = 0
         self.served = 0
         self.rejected_full = 0
@@ -216,7 +225,7 @@ class AdmissionController:
         self.shed_deadline = 0
         self.brownouts = 0
         self._brownout_until = 0.0
-        self._window_end = self.sim.now + window_us
+        self._window_end = self.sim.now + WINDOW_US
         self._w_offers = 0
         self._w_shed = 0
 
@@ -289,11 +298,11 @@ class AdmissionController:
                 if breached is not None:
                     self._brownout_until = max(
                         self._brownout_until,
-                        self._window_end + self.brownout_us)
+                        self._window_end + BROWNOUT_US)
                     self.brownouts += 1
                 self._w_offers = 0
                 self._w_shed = 0
-            self._window_end += self.window_us
+            self._window_end += WINDOW_US
 
     def metrics_snapshot(self, now: Optional[float] = None) -> dict:
         """Registry row: offers served/shed and queue high water."""

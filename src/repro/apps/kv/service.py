@@ -82,21 +82,25 @@ def region_name(node: int) -> str:
 
 
 class KVService:
-    """A sharded KV service over the nodes of one simulated machine."""
+    """A sharded KV service over every node of one simulated machine."""
+
+    #: Ports the shard servers serve SRPC bindings and sockets on.
+    srpc_port = 7000
+    socket_port = 7100
+    #: Library variants: client sockets, and the NX world that carries
+    #: replication fan-out and anti-entropy exchanges.
+    socket_variant = SOCKET_VARIANTS["DU-1copy"]
+    nx_variant = VARIANTS["AU-1copy"]
+    #: Slots of each node's one-sided region (library-default slot size).
+    onesided_slots = 1024
+    #: Sweeps an anti-entropy process runs before it gives up.
+    antientropy_max_rounds = 64
 
     def __init__(self, system: ShrimpSystem,
-                 nodes: Optional[List[int]] = None,
                  replicas: int = 2,
-                 srpc_port: int = 7000,
-                 socket_port: int = 7100,
-                 socket_variant: str = "DU-1copy",
-                 nx_variant: str = "AU-1copy",
-                 vnodes: int = 64,
                  batch: bool = False,
                  srpc_window: int = 1,
                  onesided: bool = False,
-                 onesided_slots: int = 1024,
-                 onesided_slot_bytes: int = 0,
                  admission: bool = False,
                  admit_queue: int = 32,
                  admit_deadline_us: float = 0.0,
@@ -104,8 +108,7 @@ class KVService:
                  versioned: bool = False,
                  repl_queue_cap: int = 0,
                  antientropy: bool = False,
-                 antientropy_interval_us: float = 2000.0,
-                 antientropy_max_rounds: int = 64):
+                 antientropy_interval_us: float = 2000.0):
         if batch and admission:
             raise ValueError("admission control composes with the plain "
                              "request path only (batch=False)")
@@ -123,24 +126,13 @@ class KVService:
         # is exported, no writer hook runs, and every timed path is
         # byte-identical to the RPC-only service.
         self.onesided = onesided
-        self.onesided_slots = onesided_slots
-        self.onesided_slot_bytes = onesided_slot_bytes  # 0 = library default
         self.writers: Dict[int, RegionWriter] = {}
         self.region_rendezvous = Rendezvous(system) if onesided else None
         self.sim = system.sim
-        self.nodes = list(nodes) if nodes is not None else list(
-            range(system.config.n_nodes))
-        if self.nodes != list(range(len(self.nodes))):
-            # NX ranks are spawned on nodes 0..N-1; keep the shard set
-            # aligned with them rather than maintaining a rank map.
-            raise ValueError("service nodes must be 0..N-1, got %r"
-                             % self.nodes)
+        # Shard n is NX rank n: the NX world spans nodes 0..N-1.
+        self.nodes = list(range(system.config.n_nodes))
         self.replicas = max(1, min(replicas, len(self.nodes)))
-        self.srpc_port = srpc_port
-        self.socket_port = socket_port
-        self.socket_variant = SOCKET_VARIANTS[socket_variant]
-        self.nx_variant = VARIANTS[nx_variant]
-        self.ring = HashRing(self.nodes, vnodes=vnodes)
+        self.ring = HashRing(self.nodes)
         self.stores: Dict[int, ShardStore] = {
             node: ShardStore(node) for node in self.nodes}
         # Replica correctness (docs/REPLICATION.md): ``versioned``
@@ -152,7 +144,6 @@ class KVService:
         self.repl_queue_cap = repl_queue_cap
         self.antientropy = antientropy
         self.antientropy_interval_us = antientropy_interval_us
-        self.antientropy_max_rounds = antientropy_max_rounds
         self.repl_queues: Dict[int, Store] = {}
         for node in self.nodes:
             queue = Store(self.sim,
@@ -302,13 +293,8 @@ class KVService:
         """
 
         def program(proc):
-            if self.onesided_slot_bytes:
-                fmt = RegionFormat(self.onesided_slots,
-                                   self.onesided_slot_bytes,
-                                   page_size=proc.config.page_size)
-            else:
-                fmt = RegionFormat(self.onesided_slots,
-                                   page_size=proc.config.page_size)
+            fmt = RegionFormat(self.onesided_slots,
+                               page_size=proc.config.page_size)
             endpoint = attach(self.system, proc)
             region = yield from endpoint.export_new(fmt.nbytes)
             # Register the region with the NIC's snoop-fed serve cache;

@@ -213,11 +213,6 @@ class DeliberateUpdateEngine:
                     from ...vmmc.errors import VmmcTransferError
 
                     self.aborts += 1
-                    self.tracer.log(
-                        "fault",
-                        "n%d DU command %dB ABORTED by fault",
-                        self.node_id, command.size,
-                    )
                     command.done.fail(VmmcTransferError(
                         "deliberate update of %d bytes aborted by the "
                         "DU engine on node %d" % (command.size, self.node_id)
@@ -475,8 +470,6 @@ class IncomingDmaEngine:
             self.faults += 1
             self._frozen_on = (packet, span, fast)
             fault = ReceiveFault(self.node_id, packet.dst_paddr, packet.size, packet.src_node)
-            self.tracer.log("fault", "n%d receive fault at %#x",
-                            self.node_id, packet.dst_paddr)
             if self.fault_handler is None:
                 self.arbiter.release()
                 raise RuntimeError(
@@ -516,10 +509,6 @@ class IncomingDmaEngine:
             self.shadow.write(packet.dst_paddr, packet.payload)
         self.packets_received += 1
         self.bytes_received += packet.size
-        self.tracer.log(
-            "dma-in", "n%d landed #%d %dB at %#x",
-            self.node_id, packet.seq, packet.size, packet.dst_paddr,
-        )
         self.tracer.end(span)
         self.arbiter.release()
         first_page = packet.dst_paddr // cfg.page_size
@@ -559,10 +548,6 @@ class IncomingDmaEngine:
         request = decode_read_request(packet.payload)
         if request is None:
             self.read_requests_dropped += 1
-            self.tracer.log(
-                "dma-in", "n%d dropped malformed read request from n%d",
-                self.node_id, packet.src_node,
-            )
             self._next()
             return
         span = None
@@ -577,11 +562,6 @@ class IncomingDmaEngine:
             )
         if not self.ipt.check_range(request.src_paddr, request.nbytes):
             self.read_requests_denied += 1
-            self.tracer.log(
-                "dma-in", "n%d denied read request at %#x (+%d) from n%d",
-                self.node_id, request.src_paddr, request.nbytes,
-                packet.src_node,
-            )
             self.tracer.end(span, data={"denied": True})
             self._next()
             return
@@ -659,10 +639,5 @@ class IncomingDmaEngine:
             self.arbiter.release()
         self.read_requests_served += 1
         self.read_reply_bytes += request.nbytes
-        self.tracer.log(
-            "dma-in", "n%d served read request %#x +%d -> n%d%s",
-            self.node_id, request.src_paddr, request.nbytes,
-            reply.dst_node, " (shadow)" if shadowed else "",
-        )
         self.tracer.end(reply.span, data={"shadow": shadowed})
         self._next()

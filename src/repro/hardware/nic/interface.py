@@ -165,9 +165,6 @@ class NetworkInterface:
 
     def _injected(self, packet, span) -> None:
         """Put ``packet`` on the backplane, free the port, go again."""
-        self.tracer.log(
-            "inject", "n%d injected #%d", self.node_id, packet.seq
-        )
         self.mesh.inject(packet)
         self.tracer.end(span)
         self.arbiter.release()

@@ -214,11 +214,6 @@ class Packetizer:
             seq=next(self._numbers),
         )
         self.packets_formed += 1
-        self.tracer.log(
-            "packetize", "n%d formed #%d %s %dB -> n%d@%#x",
-            self.node_id, packet.seq, kind.value, packet.size, dst_node,
-            dst_paddr,
-        )
         # Header formation + FIFO entry take packetize_latency; AU packets
         # additionally went through the snoop/OPT lookup stage.  Enqueue
         # times are forced monotonic so a cheaper DU packet can never

@@ -131,10 +131,6 @@ class MeshBackplane:
                     # dropped (conservation stays checkable).
                     self.packets_dropped += 1
                     self.bytes_dropped += packet.size
-                    self.tracer.log(
-                        "mesh", "packet #%d n%d->n%d DROPPED by fault",
-                        packet.seq, packet.src_node, packet.dst_node,
-                    )
                     return arrival
                 if fault.kind == FaultKind.CORRUPT:
                     # Flip one payload byte in flight; the seq is kept so
@@ -169,11 +165,6 @@ class MeshBackplane:
                 data={"bytes": packet.size, "wire_bytes": wire_bytes,
                       "hops": self.hops(packet.src_node, packet.dst_node)},
             )
-        self.tracer.log(
-            "mesh", "packet #%d n%d->n%d %dB arrives %.3f",
-            packet.seq, packet.src_node, packet.dst_node, packet.size,
-            arrival,
-        )
         self.sim.schedule_call(arrival - now, self._deliver, packet)
         return arrival
 

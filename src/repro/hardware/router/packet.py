@@ -99,7 +99,7 @@ class Packet:
     ``interrupt`` is the sender-specified interrupt flag of Section 3.2:
     an interrupt is raised at the destination only if this AND the
     receiving page's IPT interrupt flag are both set.  ``seq`` is the
-    packet's machine-wide number (the ``#n`` of spans and logs), handed
+    packet's machine-wide number (the ``#n`` of span names), handed
     out by the backplane's :attr:`~repro.hardware.router.mesh.
     MeshBackplane.packet_numbers`; a packet built by hand keeps 0 unless
     given one.  ``size`` is the payload length, fixed at construction

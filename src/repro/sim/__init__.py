@@ -7,11 +7,11 @@ scheduled callbacks.  Time is in microseconds.
 
 The kernel also hosts the observability layer (docs/OBSERVABILITY.md):
 :class:`Tracer`/:class:`Span` record structured begin/end intervals on
-per-component tracks, the contention primitives keep always-on
-utilization counters collected by :class:`MetricsRegistry`, and
-:mod:`repro.sim.export` turns a tracer into Chrome ``trace_event``
-JSON (``chrome_trace_json``/``write_chrome_trace``/
-``validate_chrome_trace``).
+per-component tracks (spans are the tracer's only record), the
+contention primitives keep always-on utilization counters collected
+by :class:`MetricsRegistry`, and :mod:`repro.sim.export` turns a
+tracer into Chrome ``trace_event`` JSON (``chrome_trace_json``/
+``write_chrome_trace``/``validate_chrome_trace``).
 """
 
 from .core import (
@@ -41,7 +41,7 @@ from .faults import (
 from .process import Interrupt, Process, spawn
 from .resources import BandwidthChannel, MetricsRegistry, Request, Resource, Store
 from .timers import IdleTimer, TimerWheel
-from .trace import Series, Span, Stopwatch, TraceRecord, Tracer
+from .trace import Span, Stopwatch, Tracer
 
 __all__ = [
     "AllOf",
@@ -60,7 +60,6 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
-    "Series",
     "SimulationError",
     "Simulator",
     "Span",
@@ -69,7 +68,6 @@ __all__ = [
     "Store",
     "TimerWheel",
     "Timeout",
-    "TraceRecord",
     "Tracer",
     "chrome_trace_dict",
     "chrome_trace_events",

@@ -1,8 +1,8 @@
 """Trace exporters: Chrome ``trace_event`` JSON and text summaries.
 
-Converts a :class:`~repro.sim.trace.Tracer`'s spans and point events
-into the Trace Event Format consumed by ``chrome://tracing`` and
-Perfetto (https://ui.perfetto.dev).  Simulated time is microseconds
+Converts a :class:`~repro.sim.trace.Tracer`'s spans into the Trace
+Event Format consumed by ``chrome://tracing`` and Perfetto
+(https://ui.perfetto.dev).  Simulated time is microseconds
 throughout the project, which is exactly the ``ts``/``dur`` unit the
 format specifies, so timestamps pass through unscaled.
 
@@ -74,15 +74,14 @@ def _span_args(span: Span) -> dict:
     return args
 
 
-def chrome_trace_events(tracer: Tracer, include_logs: bool = True) -> List[dict]:
+def chrome_trace_events(tracer: Tracer) -> List[dict]:
     """The tracer's contents as a list of Trace Event Format dicts.
 
     Spans become ``X`` (complete) events; still-open spans are closed
     at the simulator's current time and flagged ``{"open": true}``.
     Spans carrying an ``xparent`` causal edge additionally emit an
     ``s``/``f`` flow-event pair so cross-node request trees render as
-    arrows.  Legacy :meth:`~repro.sim.trace.Tracer.log` records become
-    ``i`` (instant) events when ``include_logs`` is set.
+    arrows.
     """
     ids = _IdAllocator()
     events: List[dict] = []
@@ -124,41 +123,26 @@ def chrome_trace_events(tracer: Tracer, include_logs: bool = True) -> List[dict]
                     "bp": "e", "id": flow_id, "ts": span.start,
                     "pid": pid, "tid": tid,
                 })
-    if include_logs:
-        for record in tracer.records:
-            pid, tid = ids.ids_for("log." + record.category)
-            events.append({
-                "name": record.message,
-                "cat": record.category,
-                "ph": "i",
-                "s": "g",
-                "ts": record.time,
-                "pid": pid,
-                "tid": tid,
-                "args": {} if record.data is None else {"data": repr(record.data)},
-            })
     return ids.metadata_events() + events + flows
 
 
-def chrome_trace_dict(tracer: Tracer, include_logs: bool = True) -> dict:
+def chrome_trace_dict(tracer: Tracer) -> dict:
     """The full JSON-object form: ``{"traceEvents": [...], ...}``."""
     return {
-        "traceEvents": chrome_trace_events(tracer, include_logs=include_logs),
+        "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.sim.export", "time_unit": "us"},
     }
 
 
-def chrome_trace_json(tracer: Tracer, include_logs: bool = True,
-                      indent: Optional[int] = None) -> str:
+def chrome_trace_json(tracer: Tracer, indent: Optional[int] = None) -> str:
     """The trace serialized as a Chrome-loadable JSON string."""
-    return json.dumps(chrome_trace_dict(tracer, include_logs=include_logs),
-                      indent=indent)
+    return json.dumps(chrome_trace_dict(tracer), indent=indent)
 
 
-def write_chrome_trace(tracer: Tracer, path, include_logs: bool = True) -> str:
+def write_chrome_trace(tracer: Tracer, path) -> str:
     """Write the Chrome trace JSON to ``path``; returns the path as str."""
-    text = chrome_trace_json(tracer, include_logs=include_logs)
+    text = chrome_trace_json(tracer)
     with open(str(path), "w") as fh:
         fh.write(text + "\n")
     return str(path)

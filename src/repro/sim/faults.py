@@ -252,18 +252,13 @@ class FaultInjector:
                 self.fired.append(fault)
                 key = "%s.%s" % (fault.site, fault.kind)
                 self.counts[key] = self.counts.get(key, 0) + 1
-                tracer = self.tracer
-                if tracer.enabled:
-                    tracer.instant(
+                if self.tracer.enabled:
+                    self.tracer.instant(
                         "fault", "%s %s" % (fault.site, fault.kind),
                         track="faults",
                         data=dict(fault.params, site=fault.site, kind=fault.kind,
                                   scheduled=fault.time),
                     )
-                tracer.log(
-                    "fault", "injected %s/%s at t=%.3f (scheduled %.3f) %r",
-                    fault.site, fault.kind, now, fault.time, fault.params,
-                )
                 return fault
         return None
 

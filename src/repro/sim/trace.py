@@ -1,11 +1,9 @@
 """Tracing and measurement utilities for simulation runs.
 
-The benchmark harness needs three things: a way to record *what
-happened* (for debugging protocol interleavings), a way to record *how
-long each stage took* (structured spans, exportable to Chrome's
-``trace_event`` format — see :mod:`repro.sim.export`), and a way to
-accumulate summary statistics (for the latency/bandwidth series the
-paper's figures plot).
+A :class:`Tracer` records *how long each stage took* as structured
+spans, exportable to Chrome's ``trace_event`` format (see
+:mod:`repro.sim.export`); spans are its only record.  A
+:class:`Stopwatch` measures one interval of simulated time.
 
 Span model
 ----------
@@ -25,26 +23,18 @@ Overhead guarantee
 Tracing is off by default.  Every producer call site is guarded by a
 single attribute check (``if tracer.enabled:``), so the cost of a
 disabled tracer on the hot paths is one attribute lookup and one
-branch per site — the same discipline the original :meth:`Tracer.log`
-established.
+branch per site (``tests/test_span_guards.py`` audits every site).
+An enabled tracer records at most ``limit`` spans; it counts each span
+it refuses past that in :attr:`Tracer.dropped`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, Optional
 
 from .core import Simulator
 
-__all__ = ["TraceRecord", "Span", "Tracer", "Series", "Stopwatch"]
-
-
-class TraceRecord(NamedTuple):
-    time: float
-    category: str
-    message: str
-    data: Any
+__all__ = ["Span", "Tracer", "Stopwatch"]
 
 
 class Span:
@@ -87,53 +77,29 @@ class Span:
 
 
 class Tracer:
-    """Structured event log of simulation happenings.
+    """Recorder of the spans of one simulation run.
 
-    Two families of producers feed it:
-
-    * :meth:`log` — point events, the append-only categorized log the
-      timeline renderer consumes (counts are kept even when disabled);
-    * :meth:`begin`/:meth:`end`/:meth:`complete`/:meth:`instant` —
-      spans, the structured begin/end intervals the Chrome exporter
-      and the latency-budget cross-check consume.
+    :meth:`begin`/:meth:`end`/:meth:`complete`/:meth:`instant` produce
+    spans, the structured begin/end intervals the Chrome exporter, the
+    trace assembler and the latency-budget cross-check consume.
 
     Tracing is off by default (``enabled=False``): hot-path call sites
     guard with one attribute check, keeping the disabled cost to a
-    lookup and a branch per site.
+    lookup and a branch per site.  Once ``limit`` spans are recorded,
+    further spans are refused and counted in :attr:`dropped`.
     """
 
     def __init__(self, sim: Simulator, enabled: bool = False, limit: int = 100_000):
         self.sim = sim
         self.enabled = enabled
         self.limit = limit
-        self.records: List[TraceRecord] = []
-        self.counts: Counter = Counter()
         self.spans: List[Span] = []
+        #: Spans refused because ``limit`` were already recorded.
+        self.dropped = 0
         self._next_sid = 0
         self._next_tid = 0
         self._stacks: Dict[str, List[Span]] = {}
 
-    # -- point events ---------------------------------------------------
-    def log(self, category: str, message: str, *args: Any,
-            data: Any = None) -> None:
-        """Record one event if tracing is enabled (counts are always kept).
-
-        Extra positional ``args`` are lazily ``%``-formatted into
-        ``message`` only when the record is actually kept — hot hardware
-        paths log thousands of events per run, and eager string
-        formatting on a disabled tracer was a measurable cost (the
-        "cheap-span fast path"; see docs/SIMULATOR.md).
-        """
-        self.counts[category] += 1
-        if not self.enabled:
-            return
-        if len(self.records) >= self.limit:
-            return
-        if args:
-            message = message % args
-        self.records.append(TraceRecord(self.sim.now, category, message, data))
-
-    # -- spans ----------------------------------------------------------
     def begin(self, category: str, name: str, track: str = "sim",
               data: Any = None) -> Optional[Span]:
         """Open a span now on ``track``; returns it (None when disabled).
@@ -143,7 +109,10 @@ class Tracer:
         any caller bookkeeping.  Call sites may pass the result straight
         to :meth:`end`, which accepts None.
         """
-        if not self.enabled or len(self.spans) >= self.limit:
+        if not self.enabled:
+            return None
+        if len(self.spans) >= self.limit:
+            self.dropped += 1
             return None
         stack = self._stacks.setdefault(track, [])
         parent = stack[-1].sid if stack else None
@@ -184,7 +153,10 @@ class Tracer:
         interval closed (via :meth:`reserve_sid`, so the id could
         travel in a wire header) record the span under that id.
         """
-        if not self.enabled or len(self.spans) >= self.limit:
+        if not self.enabled:
+            return None
+        if len(self.spans) >= self.limit:
+            self.dropped += 1
             return None
         stack = self._stacks.get(track)
         parent = stack[-1].sid if stack else None
@@ -225,89 +197,15 @@ class Tracer:
         return [s for s in self.spans
                 if s.category == category and s.track.startswith(track_prefix)]
 
-    def span_totals(self) -> Dict[str, float]:
-        """Summed closed-span duration per category."""
-        totals: Dict[str, float] = {}
-        for span in self.spans:
-            if span.end is None:
-                continue
-            totals[span.category] = totals.get(span.category, 0.0) + span.duration()
-        return totals
-
     def clear(self) -> None:
-        """Drop all recorded events and spans (keeps counts and settings)."""
-        self.records.clear()
+        """Drop all recorded spans and the refusal count (keeps settings)."""
         self.spans.clear()
+        self.dropped = 0
         self._stacks.clear()
-
-    # -- legacy log queries ----------------------------------------------
-    def select(self, category: str) -> List[TraceRecord]:
-        """All records of one category, in time order."""
-        return [r for r in self.records if r.category == category]
-
-    def format(self, categories: Optional[List[str]] = None) -> str:
-        """A human-readable dump, optionally restricted to some categories."""
-        wanted = set(categories) if categories is not None else None
-        lines = []
-        for record in self.records:
-            if wanted is not None and record.category not in wanted:
-                continue
-            lines.append(
-                "%12.3f  %-12s %s" % (record.time, record.category, record.message)
-            )
-        return "\n".join(lines)
 
 
 def _as_dict(value: Any) -> dict:
     return value if isinstance(value, dict) else {"value": value}
-
-
-class Series:
-    """A named list of samples with summary statistics.
-
-    Used for per-iteration round-trip times; the harness reports the mean
-    (the paper reports averages over many ping-pong iterations).
-    """
-
-    def __init__(self, name: str = "series"):
-        self.name = name
-        self.samples: List[float] = []
-
-    def add(self, value: float) -> None:
-        """Record one sample."""
-        self.samples.append(value)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            raise ValueError("series %r has no samples" % self.name)
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples)
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples)
-
-    @property
-    def stddev(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (len(self.samples) - 1))
-
-    def percentile(self, p: float) -> float:
-        """Exact percentile of the samples (see :func:`repro.analysis.percentile`)."""
-        from ..analysis import percentile
-
-        if not self.samples:
-            raise ValueError("series %r has no samples" % self.name)
-        return percentile(self.samples, p)
 
 
 class Stopwatch:

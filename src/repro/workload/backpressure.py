@@ -10,48 +10,44 @@ multiplicatively while the service is shedding, then decays back to
 the nominal rate once acceptances dominate again — AIMD in spirit,
 multiplicative in both directions so recovery is fast but bounded.
 
-Deterministic on purpose: windows are *count*-based (every ``window``
-outcomes, not every N microseconds), so the governor's decisions depend
-only on the sequence of accept/reject outcomes the simulation already
-fixed, never on wall-clock sampling.
+Deterministic on purpose: windows are *count*-based (every
+:data:`WINDOW` outcomes, not every N microseconds), so the governor's
+decisions depend only on the sequence of accept/reject outcomes the
+simulation already fixed, never on wall-clock sampling.
 """
 
 from __future__ import annotations
 
 __all__ = ["BackpressureGovernor"]
 
+#: Outcomes per decision window.
+WINDOW = 50
+#: Rejection fraction above which the governor slows down.
+TARGET = 0.05
+#: Slow-down factor multipliers per window, and the slow-down cap.
+GROW = 1.25
+DECAY = 0.9
+MAX_SLOWDOWN = 8.0
+
 
 class BackpressureGovernor:
     """Multiplicative slow-down of an open-loop arrival process.
 
-    ``note(rejected)`` records one request outcome.  Every ``window``
-    outcomes the rejection fraction is compared with ``target``: above
-    it the slow-down factor grows by ``grow`` (capped at
-    ``max_slowdown``); below ``target / 2`` it decays by ``decay``
-    (floored at 1.0 — the governor never pushes *faster* than
-    nominal); the band between holds steady.  The hysteresis matters:
-    under sustained overload the doors keep shedding a trickle even
-    once the rate is trimmed to capacity, and a governor that releases
-    on any below-target window re-grows the backlog it just drained —
-    while one that releases only on perfectly clean windows stays
-    throttled forever on burst noise.  ``gap_scale()`` is the factor
-    the arrival process multiplies its next inter-arrival gap by.
+    ``note(rejected)`` records one request outcome.  Every
+    :data:`WINDOW` outcomes the rejection fraction is compared with
+    :data:`TARGET`: above it the slow-down factor grows by :data:`GROW`
+    (capped at :data:`MAX_SLOWDOWN`); below ``TARGET / 2`` it decays by
+    :data:`DECAY` (floored at 1.0 — the governor never pushes *faster*
+    than nominal); the band between holds steady.  The hysteresis
+    matters: under sustained overload the doors keep shedding a trickle
+    even once the rate is trimmed to capacity, and a governor that
+    releases on any below-target window re-grows the backlog it just
+    drained — while one that releases only on perfectly clean windows
+    stays throttled forever on burst noise.  ``gap_scale()`` is the
+    factor the arrival process multiplies its next inter-arrival gap by.
     """
 
-    def __init__(self, window: int = 50, target: float = 0.05,
-                 grow: float = 1.25, decay: float = 0.9,
-                 max_slowdown: float = 8.0):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 <= target < 1.0:
-            raise ValueError("target must be in [0, 1)")
-        if grow <= 1.0 or not 0.0 < decay < 1.0:
-            raise ValueError("need grow > 1 and 0 < decay < 1")
-        self.window = window
-        self.target = target
-        self.grow = grow
-        self.decay = decay
-        self.max_slowdown = max_slowdown
+    def __init__(self):
         self.slowdown = 1.0
         self.peak = 1.0
         self.adjustments = 0
@@ -63,15 +59,14 @@ class BackpressureGovernor:
         self._count += 1
         if rejected:
             self._rejected += 1
-        if self._count < self.window:
+        if self._count < WINDOW:
             return
         frac = self._rejected / self._count
-        if frac > self.target:
-            self.slowdown = min(self.slowdown * self.grow,
-                                self.max_slowdown)
+        if frac > TARGET:
+            self.slowdown = min(self.slowdown * GROW, MAX_SLOWDOWN)
             self.adjustments += 1
-        elif frac <= self.target / 2.0 and self.slowdown > 1.0:
-            self.slowdown = max(self.slowdown * self.decay, 1.0)
+        elif frac <= TARGET / 2.0 and self.slowdown > 1.0:
+            self.slowdown = max(self.slowdown * DECAY, 1.0)
             self.adjustments += 1
         self.peak = max(self.peak, self.slowdown)
         self._count = 0

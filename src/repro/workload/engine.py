@@ -589,6 +589,7 @@ def run_workload(spec: WorkloadSpec,
         convergence=convergence,
         events_executed=sim.events_executed,
         spans=list(system.machine.tracer.spans) if spec.trace else None,
+        spans_dropped=system.machine.tracer.dropped,
         metrics=({"now": sim.now,
                   "entries": system.machine.metrics.snapshot()}
                  if spec.trace else None),

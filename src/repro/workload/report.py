@@ -57,6 +57,10 @@ class WorkloadReport:
     #: observability tests; never rendered into the text report, so the
     #: determinism goldens are unaffected.
     spans: Optional[list] = None
+    #: Spans the tracer refused once ``spans`` reached its limit
+    #: (``Tracer.dropped``); 0 for an untraced run.  Never rendered
+    #: into the text report, like ``spans``.
+    spans_dropped: int = 0
     #: The metrics-registry snapshot (``{"now": ..., "entries": [...]}``)
     #: when ``spec.trace`` was set, else None — the contention source
     #: for ``python -m repro profile``.  Never rendered into the text

@@ -153,12 +153,6 @@ def test_faulted_run_completes_with_failover():
     assert stats["failovers"] == tally["errors"] or stats["failovers"] >= 0
 
 
-def test_service_rejects_sparse_node_sets():
-    system = make_system()
-    with pytest.raises(ValueError):
-        KVService(system, nodes=[0, 2])
-
-
 def test_service_rejects_admission_with_batching():
     """Like ``WorkloadSpec.validate``: a batch shares one CPU dispatch,
     so admission control cannot shed its keys one by one."""

@@ -9,6 +9,7 @@ one consistent story.
 """
 
 import functools
+import re
 
 from repro.obs import (
     PROFILE_STAGES,
@@ -241,3 +242,34 @@ def test_open_root_trees_are_skipped_not_crashed():
     profile = build_profile(spans)
     assert len(profile.requests) == 1
     assert profile.skipped_trees == 1
+
+
+# ----------------------------------------------------- the span limit
+
+def test_commands_report_spans_past_the_tracer_limit(monkeypatch, capsys):
+    """A traced run that outgrows ``Tracer.limit`` says so, and counts
+    at least every span a limitless run records past the limit."""
+    from repro.__main__ import main
+    from repro.hardware import machine
+    from repro.sim import Tracer
+
+    argv = ["--seed", "7", "--requests", "40", "--load", "20000"]
+    main(["profile"] + argv)
+    full = capsys.readouterr().out
+    assert "tracer limit" not in full
+    total = int(re.search(r"(\d+) spans", full).group(1))
+    limit = total // 2
+    monkeypatch.setattr(machine, "Tracer",
+                        functools.partial(Tracer, limit=limit))
+    for command in ("profile", "explain"):
+        main([command] + argv)
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("tracer limit")]
+        assert len(notes) == 1
+        match = re.fullmatch(r"tracer limit of (\d+) spans reached: "
+                             r"(\d+) more spans refused", notes[0])
+        assert int(match.group(1)) == limit
+        # A synchronous SRPC call whose span is refused at begin is
+        # refused again at harvest, so refusals can exceed the spans
+        # past the limit, never fall short of them.
+        assert int(match.group(2)) >= total - limit

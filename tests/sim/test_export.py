@@ -19,7 +19,6 @@ def traced_sim():
     tracer.complete("cpu.store", "store 4B", 0.0, 0.87, track="n0.cpu.p1",
                     data={"bytes": 4})
     tracer.complete("mesh.transit", "pkt #0", 2.02, 2.48, track="mesh.backplane")
-    tracer.log("net", "packet sent", data={"size": 20})
     return sim, tracer
 
 
@@ -54,17 +53,6 @@ def test_pid_tid_are_stable_small_integers():
     again = events_of(chrome_trace_events(tracer), "X")
     assert [(e["pid"], e["tid"]) for e in complete] == [
         (e["pid"], e["tid"]) for e in again]
-
-
-def test_logs_export_as_instant_events_on_log_tracks():
-    _, tracer = traced_sim()
-    events = chrome_trace_events(tracer)
-    (instant,) = events_of(events, "i")
-    assert instant["name"] == "packet sent"
-    assert instant["s"] == "g"
-    meta_names = {e["args"]["name"] for e in events_of(events, "M")}
-    assert "log" in meta_names and "net" in meta_names
-    assert events_of(chrome_trace_events(tracer, include_logs=False), "i") == []
 
 
 def test_open_spans_are_closed_at_now_and_flagged():

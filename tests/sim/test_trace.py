@@ -2,55 +2,7 @@
 
 import pytest
 
-from repro.sim import Series, Simulator, Stopwatch, Tracer, spawn
-
-
-def test_tracer_disabled_keeps_counts_only():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=False)
-    tracer.log("net", "packet sent")
-    assert tracer.counts["net"] == 1
-    assert tracer.records == []
-
-
-def test_tracer_enabled_records_time_and_category():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    sim.schedule_call(
-        3.5, lambda: tracer.log("net", "hello", data={"size": 4}))
-    sim.run()
-    assert len(tracer.records) == 1
-    record = tracer.records[0]
-    assert record.time == 3.5
-    assert record.category == "net"
-    assert record.data == {"size": 4}
-
-
-def test_tracer_select_filters_by_category():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.log("a", "one")
-    tracer.log("b", "two")
-    tracer.log("a", "three")
-    assert [r.message for r in tracer.select("a")] == ["one", "three"]
-
-
-def test_tracer_limit_caps_records():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True, limit=2)
-    for i in range(5):
-        tracer.log("x", str(i))
-    assert len(tracer.records) == 2
-    assert tracer.counts["x"] == 5
-
-
-def test_tracer_format_output():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.log("net", "msg")
-    text = tracer.format()
-    assert "net" in text and "msg" in text
-    assert tracer.format(categories=["other"]) == ""
+from repro.sim import Simulator, Stopwatch, Tracer, spawn
 
 
 def test_span_begin_end_records_interval():
@@ -100,11 +52,13 @@ def test_span_end_pops_dangling_children():
 
 def test_span_disabled_is_noop_and_end_accepts_none():
     sim = Simulator()
-    tracer = Tracer(sim, enabled=False)
+    tracer = Tracer(sim, enabled=False, limit=0)
     span = tracer.begin("cpu.store", "store", track="n0.cpu.p1")
     assert span is None
     tracer.end(span)  # must not raise: the guarded call-site pattern
     assert tracer.spans == []
+    # The disabled path stops at its one check: nothing is counted.
+    assert tracer.dropped == 0
 
 
 def test_span_limit_caps_spans():
@@ -112,7 +66,11 @@ def test_span_limit_caps_spans():
     tracer = Tracer(sim, enabled=True, limit=2)
     for i in range(5):
         tracer.end(tracer.begin("x", str(i)))
+    tracer.complete("x", "late", 0.0)
+    tracer.instant("x", "mark")
     assert len(tracer.spans) == 2
+    # Every refused span is counted, whichever producer refused it.
+    assert tracer.dropped == 5
 
 
 def test_complete_and_instant_adopt_open_parent():
@@ -128,18 +86,6 @@ def test_complete_and_instant_adopt_open_parent():
     assert child.parent == outer.sid
 
 
-def test_span_totals_sums_closed_spans_per_category():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.complete("bus", "a", 0.0, 1.0)
-    tracer.complete("bus", "b", 2.0, 2.5)
-    tracer.complete("mesh.transit", "c", 0.0, 0.25)
-    tracer.begin("bus", "open")  # open spans are excluded
-    totals = tracer.span_totals()
-    assert totals["bus"] == pytest.approx(1.5)
-    assert totals["mesh.transit"] == pytest.approx(0.25)
-
-
 def test_spans_of_filters_category_and_track_prefix():
     sim = Simulator()
     tracer = Tracer(sim, enabled=True)
@@ -150,39 +96,17 @@ def test_spans_of_filters_category_and_track_prefix():
     assert [s.name for s in tracer.spans_of("cpu.poll", "n1.")] == ["n1"]
 
 
-def test_clear_drops_spans_and_records_keeps_counts():
+def test_clear_drops_spans_and_refusal_count():
     sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.log("net", "pkt")
+    tracer = Tracer(sim, enabled=True, limit=1)
     tracer.begin("a", "open")
+    tracer.begin("a", "refused")
+    assert tracer.dropped == 1
     tracer.clear()
-    assert tracer.spans == [] and tracer.records == []
-    assert tracer.counts["net"] == 1
+    assert tracer.spans == [] and tracer.dropped == 0
     # Clearing with an open span must not corrupt later nesting.
     fresh = tracer.begin("b", "fresh")
     assert fresh.parent is None
-
-
-def test_series_statistics():
-    series = Series("lat")
-    for v in (1.0, 2.0, 3.0):
-        series.add(v)
-    assert len(series) == 3
-    assert series.mean == 2.0
-    assert series.minimum == 1.0
-    assert series.maximum == 3.0
-    assert series.stddev == pytest.approx(1.0)
-
-
-def test_series_empty_mean_raises():
-    with pytest.raises(ValueError):
-        _ = Series().mean
-
-
-def test_series_single_sample_stddev_is_zero():
-    series = Series()
-    series.add(5.0)
-    assert series.stddev == 0.0
 
 
 def test_stopwatch_measures_span():

@@ -1,12 +1,13 @@
 """Hot-path span/metric emission must be guarded — enforced by AST audit.
 
 The disabled-tracing cost contract (docs/OBSERVABILITY.md) is one
-attribute load and one branch per site: every ``tracer.begin(...)`` /
-``tracer.complete(...)`` call, and every telemetry hook
-(``sampler.window.record``, ``recorder.capture``), must sit behind a
-cheap guard — an ``if ...enabled:`` / ``if ...traced:`` block, an
-early ``if not tracer.enabled: return``, or an ``is not None`` check
-on an object that only exists when telemetry is on.  ``tracer.end`` is
+attribute load and one branch per site: every tracer producer call
+(``begin``, ``complete``, ``instant``, ``reserve_sid``,
+``new_trace_id``), and every telemetry hook (``sampler.window.record``,
+``recorder.capture``), must sit behind a cheap guard — an
+``if ...enabled:`` / ``if ...traced:`` block, an early
+``if not tracer.enabled: return``, or an ``is not None`` check on an
+object that only exists when telemetry is on.  ``tracer.end`` is
 exempt (``end(None)`` is a no-op by design).
 
 This test parses the source of every span-emitting module and fails on
@@ -19,8 +20,10 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: Attribute names whose calls count as span/metric emission.
-EMITTING_ATTRS = {"begin", "complete"}
+#: Tracer methods whose calls count as span emission: the span
+#: producers and the id allocators that only serve them.
+EMITTING_ATTRS = {"begin", "complete", "instant", "reserve_sid",
+                  "new_trace_id"}
 #: Telemetry hooks: (attribute called, object-chain substring required).
 #: ``profiling.tag_root`` mutates the just-closed root span's data dict
 #: (workload/engine.py), so it is a hot-path hook like the sampler.
@@ -123,7 +126,7 @@ def _emitting_modules():
         if rel in EXEMPT:
             continue
         text = path.read_text()
-        if (".begin(" in text or ".complete(" in text
+        if (any(".%s(" % attr in text for attr in EMITTING_ATTRS)
                 or "sampler.window.record" in text
                 or "recorder.capture" in text
                 or "profiling.tag_root(" in text):
@@ -167,6 +170,19 @@ def test_auditor_flags_unguarded_root_tagging():
         "<module>:2: unguarded profiling.tag_root emission"]
 
 
+def test_auditor_flags_unguarded_instant_and_id_allocation():
+    bad = (
+        "def send(self, fault):\n"
+        "    self.tracer.instant('fault', 'drop', track='faults')\n"
+        "    tid = self.tracer.new_trace_id()\n"
+        "    sid = self.tracer.reserve_sid()\n"
+    )
+    assert find_unguarded(bad) == [
+        "<module>:2: unguarded self.tracer.instant emission",
+        "<module>:3: unguarded self.tracer.new_trace_id emission",
+        "<module>:4: unguarded self.tracer.reserve_sid emission"]
+
+
 def test_auditor_accepts_guarded_root_tagging():
     # The exact style workload/engine.py uses around its tag_root sites.
     good = (
@@ -194,85 +210,6 @@ def test_auditor_accepts_the_guard_styles():
         "        self.proc.tracer.complete('c', 'n', 0.0, track='t')\n"
     )
     assert find_unguarded(good) == []
-
-
-# -- lazy log formatting -------------------------------------------------
-#
-# ``Tracer.log`` %-formats its extra positional args lazily, only when
-# the record is actually kept.  A call site that pre-formats — passing
-# ``message %% args``, an f-string with placeholders, ``.format(...)``,
-# or string concatenation as the message — pays the formatting cost
-# even with tracing disabled, exactly the tax the lazy protocol exists
-# to avoid (docs/SIMULATOR.md, "Cheap spans when tracing is off").
-
-
-def _is_eager_message(node):
-    """Whether a ``log`` message argument is formatted at call time."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod,
-                                                           ast.Add)):
-        return True
-    if isinstance(node, ast.JoinedStr):
-        return any(isinstance(part, ast.FormattedValue)
-                   for part in node.values)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "format":
-        return True
-    return False
-
-
-def find_eager_log_formatting(source, filename="<module>"):
-    """Every ``tracer.log`` call site that formats its message eagerly."""
-    tree = ast.parse(source, filename=filename)
-    problems = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "log"
-                and "tracer" in _chain(node.func)):
-            continue
-        if len(node.args) >= 2 and _is_eager_message(node.args[1]):
-            problems.append(
-                "%s:%d: eager formatting in tracer.log message — pass "
-                "the values as extra args for lazy %%-formatting"
-                % (filename, node.lineno))
-    return problems
-
-
-def test_no_eager_formatting_at_log_call_sites():
-    problems = []
-    audited = 0
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        if rel in EXEMPT:
-            continue
-        text = path.read_text()
-        if "tracer.log(" not in text:
-            continue
-        audited += 1
-        problems.extend(find_eager_log_formatting(text, rel))
-    assert audited >= 5, "audit lost track of the tracer.log call sites"
-    assert not problems, "\n".join(problems)
-
-
-def test_auditor_flags_eager_log_formatting():
-    bad = (
-        "def hot(self, addr):\n"
-        "    self.tracer.log('fault', 'fault at %#x' % addr)\n"
-        "    self.tracer.log('fault', f'fault at {addr}')\n"
-        "    self.tracer.log('fault', 'fault at {}'.format(addr))\n"
-        "    self.tracer.log('fault', 'fault at ' + hex(addr))\n"
-    )
-    assert len(find_eager_log_formatting(bad)) == 4
-
-
-def test_auditor_accepts_lazy_log_formatting():
-    good = (
-        "def hot(self, addr):\n"
-        "    self.tracer.log('fault', 'fault at %#x', addr)\n"
-        "    self.tracer.log('boot', 'static message')\n"
-        "    self.tracer.log('boot', f'no placeholders here')\n"
-    )
-    assert find_eager_log_formatting(good) == []
 
 
 def test_tracer_end_of_none_stays_exempt():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.analysis import LatencyHistogram, TAIL_PERCENTILES, percentile
-from repro.sim.trace import Series
 
 
 class TestExactPercentile:
@@ -104,13 +103,3 @@ class TestLatencyHistogram:
         text = hist.summary()
         assert "ops" in text and "100" in text
 
-
-def test_series_percentile_uses_shared_definition():
-    """sim.trace.Series defers to the same exact percentile code."""
-    series = Series("lat")
-    for value in [4.0, 1.0, 3.0, 2.0]:
-        series.add(value)
-    assert series.percentile(50.0) == percentile([1.0, 2.0, 3.0, 4.0], 50.0)
-    empty = Series("none")
-    with pytest.raises(ValueError):
-        empty.percentile(50.0)
