@@ -482,7 +482,7 @@ class KVClient:
         if status is None or status == wire.ST_REJECTED:
             # The node died with the ticket outstanding, or the attempt
             # was shed.  Close the abandoned attempt's root first — its
-            # sid travelled on the wire, so children already point at
+            # sid was posted to the server, so children already point at
             # it — and hand the request to the synchronous path, whose
             # walk and retry loop own failover, backoff and the typed
             # KvRejectedError.
@@ -543,7 +543,7 @@ class KVClient:
         """Record the request's ``kv.client`` root span.
 
         With a ``root`` token from :meth:`_root_begin` the span is
-        recorded under the sid that travelled on the wire (and the
+        recorded under the sid posted to the servers (and the
         process context is restored first, idempotently)."""
         self._root_detach(root)
         tracer = self.system.machine.tracer
@@ -562,7 +562,7 @@ class KVClient:
         """Open a causal-trace root for one client request.
 
         Allocates a fresh trace id and reserves the root span's sid so
-        both can ride the wire immediately; installs them as the
+        both can be posted to servers at once; installs them as the
         process trace context and returns a mutable token
         ``[tid, sid, prev_ctx, detached]`` that :meth:`_span` (or
         :meth:`_root_detach`) must see again, or None when tracing is
@@ -584,12 +584,12 @@ class KVClient:
             root[3] = True
 
     def _sock_trace(self, sock):
-        """Announce the next socket request's context (generator).
+        """Hand the next socket request's context to the server.
 
-        Sends the ``OP_TRACE`` prefix frame carrying the trace id and a
-        freshly reserved *per-attempt* span sid — each replica-walk
-        attempt (and each node of a scan fan-out) must name a distinct
-        wire parent, or retried requests would produce serve spans that
+        Posts the trace id and a freshly reserved *per-attempt* span sid
+        under the request's stream offset — each replica-walk attempt
+        (and each node of a scan fan-out) must name a distinct wire
+        parent, or retried requests would produce serve spans that
         collide in the duplicate-delivery audit.  Returns the
         ``(ctx, sid, start)`` token :meth:`_sock_span` completes, or
         None when the process carries no context."""
@@ -598,13 +598,12 @@ class KVClient:
         if ctx is None or not tracer.enabled:
             return None
         sid = tracer.reserve_sid()
-        yield from self._sock_send(sock,
-                                   wire.encode_trace_prefix(ctx[0], sid))
+        tracer.post(sock.out_key + (sock.bytes_sent,), (ctx[0], sid))
         return (ctx, sid, self.sim_now())
 
     def _sock_send(self, sock, frame: bytes):
         """Stage ``frame`` in the send buffer and send it on ``sock``
-        (generator): every socket request, trace prefix and QUIT."""
+        (generator): every socket request and QUIT."""
         yield from self.proc.write(self._sbuf, frame)
         yield from sock.send(self._sbuf, len(frame))
 
@@ -1100,7 +1099,7 @@ class KVClient:
         sock = self.socks[node]
         call = None
         try:
-            call = yield from self._sock_trace(sock)
+            call = self._sock_trace(sock)
             yield from self._sock_send(
                 sock, wire.encode_request(op, key, value or b""))
             got = yield from sock.recv_exactly(self._rbuf,
@@ -1123,7 +1122,7 @@ class KVClient:
         sock = self.socks[node]
         call = None
         try:
-            call = yield from self._sock_trace(sock)
+            call = self._sock_trace(sock)
             yield from self._sock_send(sock, wire.encode_request(
                 wire.OP_SCAN, prefix, scan_limit=limit))
             records: List[Tuple[str, bytes]] = []

@@ -23,11 +23,11 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "KEY_BOUND", "VALUE_BOUND",
-    "OP_GET", "OP_PUT", "OP_DELETE", "OP_SCAN", "OP_QUIT", "OP_TRACE",
+    "OP_GET", "OP_PUT", "OP_DELETE", "OP_SCAN", "OP_QUIT",
     "ST_OK", "ST_MISS", "ST_ERROR", "ST_REJECTED",
     "REQ_HEADER", "RESP_HEADER", "SCAN_RECORD", "SCAN_END", "SCAN_REJECT",
     "REPL_DATA", "REPL_STOP", "REPL_VDATA", "REPL_RECORD", "REPL_VRECORD",
-    "TRACE_CTX", "VGET_BOUND",
+    "VGET_BOUND",
     "MULTI_GET_MAX", "MG_REQ_BOUND", "MG_RESP_BOUND",
     "encode_request", "decode_request_header",
     "encode_response", "decode_response_header",
@@ -36,7 +36,6 @@ __all__ = [
     "encode_vrepl_record", "decode_vrepl_record",
     "encode_multi_get_request", "decode_multi_get_request",
     "encode_multi_get_response", "decode_multi_get_response",
-    "encode_trace_prefix", "decode_trace_ctx",
 ]
 
 KEY_BOUND = 64       # bytes; "k%06d"-style workload keys use 7
@@ -60,11 +59,6 @@ OP_PUT = 2
 OP_DELETE = 3
 OP_SCAN = 4   # value_len field carries the record limit
 OP_QUIT = 5   # client is done with this connection
-OP_TRACE = 6  # self-describing trace-context prefix frame: a traced
-              # client sends it immediately before a request; the body
-              # (value_len == TRACE_CTX.size) carries [trace_id][psid].
-              # Untraced runs never send it, keeping the stream
-              # byte-identical (docs/OBSERVABILITY.md).
 
 # Status codes (shared with the RPC transport's int returns).
 ST_OK = 0
@@ -87,8 +81,6 @@ REPL_VDATA = 3   # versioned record: REPL_RECORD grown by an (epoch,
                  # (versioned service only — docs/REPLICATION.md)
 REPL_RECORD = struct.Struct("<BBHH")  # kind, is_delete, key_len, value_len
 REPL_VRECORD = struct.Struct("<BBHHII")  # ... plus epoch, writer
-
-TRACE_CTX = struct.Struct("<II")      # trace_id, parent span sid
 
 # A versioned GET reply: status byte, 8-byte version dot, value bytes.
 VGET_BOUND = 1 + 8 + VALUE_BOUND
@@ -193,20 +185,6 @@ def encode_repl_record(kind: int, key: str = "",
     is_delete = 1 if (kind == REPL_DATA and value is None) else 0
     body = b"" if value is None else value
     return REPL_RECORD.pack(kind, is_delete, len(kb), len(body)) + kb + body
-
-
-def encode_trace_prefix(trace_id: int, parent_sid: int) -> bytes:
-    """The OP_TRACE prefix frame announcing the next request's context."""
-    return (REQ_HEADER.pack(OP_TRACE, 0, TRACE_CTX.size)
-            + TRACE_CTX.pack(trace_id, parent_sid))
-
-
-def decode_trace_ctx(data: bytes) -> Optional[Tuple[int, int]]:
-    """``(trace_id, parent_sid)`` from an OP_TRACE body (None if zero)."""
-    trace_id, parent_sid = TRACE_CTX.unpack(data[:TRACE_CTX.size])
-    if trace_id == 0:
-        return None
-    return trace_id, parent_sid
 
 
 def decode_repl_record(data: bytes) -> Tuple[int, str, Optional[bytes]]:

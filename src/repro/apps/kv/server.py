@@ -369,7 +369,6 @@ def socket_server_program(service: "KVService", node_id: int):
         buf = proc.space.mmap(4096)
         out = proc.space.mmap(4096)
         served = 0
-        pending_ctx = None
 
         def reply(frame):
             """Stage ``frame`` and send it to the client (generator)."""
@@ -378,19 +377,13 @@ def socket_server_program(service: "KVService", node_id: int):
 
         try:
             while True:
+                # The request's stream offset: its trace hand-off key.
+                offset = sock.bytes_received
                 got = yield from sock.recv_exactly(buf, wire.REQ_HEADER.size)
                 if got < wire.REQ_HEADER.size:
                     break  # EOF: peer closed without QUIT
                 op, key_len, third = wire.decode_request_header(
                     proc.peek(buf, wire.REQ_HEADER.size))
-                if op == wire.OP_TRACE:
-                    # Self-describing prefix: stash the context for the
-                    # next real request (no response frame).
-                    got = yield from sock.recv_exactly(buf, third)
-                    if got < third:
-                        break
-                    pending_ctx = wire.decode_trace_ctx(proc.peek(buf, third))
-                    continue
                 if op == wire.OP_QUIT:
                     break
                 body = key_len + (third if op == wire.OP_PUT else 0)
@@ -400,19 +393,15 @@ def socket_server_program(service: "KVService", node_id: int):
                         break
                 key = proc.peek(buf, key_len).decode()
                 served += 1
-                span = None
+                span = ctx = None
                 if proc.tracer.enabled:
                     span = proc.tracer.begin(
                         "kv.serve", "sock op %d" % op,
                         track=proc.trace_track, data={"op": op})
-                    if span is not None and pending_ctx is not None:
-                        span.data["tid"] = pending_ctx[0]
-                        span.data["xparent"] = pending_ctx[1]
+                    ctx = proc.tracer.claim(sock.in_key + (offset,), span)
                 prev_ctx = proc.trace_ctx
-                if pending_ctx is not None:
-                    proc.trace_ctx = (pending_ctx[0],
-                                      span.sid if span is not None
-                                      else pending_ctx[1])
+                if ctx is not None:
+                    proc.trace_ctx = ctx
                 try:
                     if op not in _SOCKET_LANES:
                         yield from reply(wire.encode_response(wire.ST_ERROR))
@@ -449,7 +438,6 @@ def socket_server_program(service: "KVService", node_id: int):
                 finally:
                     proc.trace_ctx = prev_ctx
                     proc.tracer.end(span)
-                    pending_ctx = None
             yield from sock.close()
         except (SocketTimeoutError, VmmcTimeoutError):
             pass  # peer died; the hardened recv bounded the wait

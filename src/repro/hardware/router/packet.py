@@ -37,7 +37,8 @@ class PacketKind(enum.Enum):
 
 # One-sided read request descriptor: magic, seq, src_paddr, nbytes,
 # reply_paddr, trace id, parent span id, crc32 of the preceding fields.
-# Trace id zero means "untraced" (repro.obs.context convention).
+# Trace id zero means "untraced" (trace ids start at 1; see the
+# "Causal trace context" section of repro.sim.trace).
 READ_REQUEST_MAGIC = 0x52445231  # "RDR1"
 _READ_REQUEST = struct.Struct("<IIIIIII")
 _READ_REQUEST_CRC = struct.Struct("<I")

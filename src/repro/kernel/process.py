@@ -46,8 +46,8 @@ class UserProcess:
         # The causal trace context this process is currently working
         # under: ``(trace_id, parent_span_sid)`` or None.  Request
         # entry points (the KV client, RPC servers mid-dispatch) set
-        # it; transport send paths read it to tag their spans and
-        # stamp wire headers (repro.obs).
+        # it; transport send paths read it to tag their spans and post
+        # it to the receiver (Tracer.post).
         self.trace_ctx = None
         # Cached likewise so libraries can gate their recovery protocols
         # on faults.enabled with one attribute check (docs/FAULTS.md).

@@ -104,7 +104,6 @@ class NXProcess:
         self._posted: List[MsgId] = []
         self._arrival = 0
         self._last_info: Tuple[int, int, int] = (0, -1, -1)  # (count, node, type)
-        self.last_trace_ctx: Optional[Tuple[int, int]] = None  # last consumed msg
         # Zero-copy machinery caches.
         self._export_cache: Dict[int, object] = {}     # region base -> ExportedBuffer
         self._import_cache: Dict[Tuple[int, int], object] = {}
@@ -149,18 +148,21 @@ class NXProcess:
         span = None
         ctx = self.proc.trace_ctx
         if self.proc.tracer.enabled:
+            data = {"bytes": nbytes, "type": mtype}
+            if ctx is not None:
+                data["tid"], data["cparent"] = ctx
             span = self.proc.tracer.begin(
                 "nx.csend", "csend %dB -> r%d" % (nbytes, to),
-                track=self.proc.trace_track, data={"bytes": nbytes, "type": mtype},
+                track=self.proc.trace_track, data=data,
             )
-            if span is not None and ctx is not None:
-                span.data["tid"] = ctx[0]
-                span.data["cparent"] = ctx[1]
-        if conn.traced and ctx is not None:
-            # The descriptor advertises this csend span as the receive
-            # side's cross-wire parent; retransmissions rewrite the same
-            # image, so a replayed descriptor names the same parent.
-            conn.trace_out = (ctx[0], span.sid if span is not None else ctx[1])
+            if ctx is not None:
+                # The receive side links under this csend span.  The
+                # message takes the connection's next descriptor seq
+                # (one sender per connection at a time), which a
+                # retransmission keeps.
+                self.proc.tracer.post(
+                    conn.out_key + (conn.next_send_seq,),
+                    (ctx[0], span.sid if span is not None else ctx[1]))
         try:
             yield from self.proc.compute(self.proc.config.costs.nx_send_overhead)
             if nbytes <= self.payload_bytes and not self.variant.force_zero_copy:
@@ -168,7 +170,6 @@ class NXProcess:
             else:
                 yield from self._send_large(conn, mtype, vaddr, nbytes)
         finally:
-            conn.trace_out = None
             # Close the span on fault-raised exits too, or the
             # span-balance audit flags a leak on every retried send.
             self.proc.tracer.end(span)
@@ -200,10 +201,10 @@ class NXProcess:
                 if match is not None:
                     size = yield from self._consume(match, vaddr, max_bytes)
                     if span is not None:
-                        data = {"bytes": size}
-                        if match.tctx is not None:
-                            data["tid"], data["xparent"] = match.tctx
-                        self.proc.tracer.end(span, data=data)
+                        self.proc.tracer.end(span, data={"bytes": size})
+                        self.proc.tracer.claim(
+                            self.connections[match.peer].in_key
+                            + (match.seq,), span)
                     return size
                 yield from self._wait_any_descriptor()
         finally:
@@ -328,11 +329,10 @@ class NXProcess:
                 parsed = yield from conn.scan_descriptor()
                 if parsed is None:
                     break
-                slot, mtype, size, seq, tctx = parsed
+                slot, mtype, size, seq = parsed
                 self._arrival += 1
                 self._pending.append(
-                    PendingMessage(peer, slot, mtype, size, seq,
-                                   self._arrival, tctx)
+                    PendingMessage(peer, slot, mtype, size, seq, self._arrival)
                 )
         # Lazy completion of posted receives, in post order.
         for mid in list(self._posted):
@@ -410,7 +410,6 @@ class NXProcess:
             yield from conn.consume_payload(match.slot, match.size, vaddr)
             size = match.size
         self._last_info = (size, match.peer, match.mtype)
-        self.last_trace_ctx = match.tctx
         self.messages_received += 1
         return size
 

@@ -11,7 +11,6 @@ the specialized SHRIMP RPC avoids, Figure 8.)
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -22,30 +21,7 @@ __all__ = [
     "MSG_ACCEPTED", "SUCCESS", "PROG_UNAVAIL", "PROC_UNAVAIL", "PROG_MISMATCH",
     "GARBAGE_ARGS", "SYSTEM_ERR",
     "RpcCallHeader", "RpcReplyHeader", "RpcFault",
-    "encode_trace_cred", "decode_trace_cred",
 ]
-
-# Causal-trace context rides the call header's credential body — the
-# one opaque, forward-compatible slot RFC 1057 gives a client (real
-# deployments smuggle context the same way).  AUTH_NULL flavor with an
-# 8-byte body: [trace_id][parent span sid], little-endian.
-_TRACE_CRED = struct.Struct("<II")
-
-
-def encode_trace_cred(trace_id: int, parent_sid: int) -> bytes:
-    """Pack a causal-trace context into a credential body."""
-    return _TRACE_CRED.pack(trace_id, parent_sid)
-
-
-def decode_trace_cred(cred: bytes) -> Optional[Tuple[int, int]]:
-    """``(trace_id, parent_sid)`` from a credential body, or None when
-    the body is absent, foreign-sized, or carries a zero trace id."""
-    if len(cred) != _TRACE_CRED.size:
-        return None
-    trace_id, parent_sid = _TRACE_CRED.unpack(cred)
-    if trace_id == 0:
-        return None
-    return trace_id, parent_sid
 
 RPC_VERSION = 2
 CALL = 0
@@ -81,7 +57,6 @@ class RpcCallHeader:
     prog: int
     vers: int
     proc: int
-    cred: bytes = b""
 
     def encode(self, enc: XdrEncoder) -> XdrEncoder:
         """Append this header's XDR bytes to the encoder."""
@@ -92,7 +67,7 @@ class RpcCallHeader:
         enc.pack_uint(self.vers)
         enc.pack_uint(self.proc)
         enc.pack_enum(AUTH_NULL)   # credential flavor
-        enc.pack_opaque(self.cred)  # credential body (trace ctx, or empty)
+        enc.pack_opaque(b"")       # credential body
         enc.pack_enum(AUTH_NULL)   # verifier flavor
         enc.pack_opaque(b"")       # verifier body
         return enc
@@ -111,10 +86,10 @@ class RpcCallHeader:
         vers = dec.unpack_uint()
         proc = dec.unpack_uint()
         dec.unpack_enum()          # cred flavor
-        cred = bytes(dec.unpack_opaque())  # cred body (may carry trace ctx)
+        dec.unpack_opaque()        # cred body
         dec.unpack_enum()          # verf flavor
         dec.unpack_opaque()        # verf body
-        return cls(xid=xid, prog=prog, vers=vers, proc=proc, cred=cred)
+        return cls(xid=xid, prog=prog, vers=vers, proc=proc)
 
 
 @dataclass

@@ -31,8 +31,6 @@ from .rpclib import (
     RpcReplyHeader,
     SUCCESS,
     SYSTEM_ERR,
-    decode_trace_cred,
-    encode_trace_cred,
 )
 from .stream import STREAM_CTRL_BYTES, VrpcStream
 from .xdr import XdrDecoder, XdrEncoder
@@ -250,14 +248,12 @@ class VrpcServer(_Endpoint):
             yield from self.proc.compute(costs.vrpc_header_process)
             dec = XdrDecoder(raw)
             header = RpcCallHeader.decode(dec)
-            wire_ctx = decode_trace_cred(header.cred)
-            if span is not None and wire_ctx is not None:
-                span.data = {"tid": wire_ctx[0], "xparent": wire_ctx[1]}
+            ctx = None
+            if self.proc.tracer.enabled:
+                ctx = self.proc.tracer.claim(("vrpc", header.xid), span)
             prev_ctx = self.proc.trace_ctx
-            if wire_ctx is not None:
-                self.proc.trace_ctx = (
-                    wire_ctx[0],
-                    span.sid if span is not None else wire_ctx[1])
+            if ctx is not None:
+                self.proc.trace_ctx = ctx
             try:
                 reply_enc = XdrEncoder()
                 if header.prog != self.prog:
@@ -360,30 +356,28 @@ class VrpcClient(_Endpoint):
              decode_result: DecodeFn = decode_void):
         """clnt_call: synchronous remote procedure call."""
         costs = self.proc.config.costs
-        span = None
-        cred = b""
+        span = ctx = None
         if self.proc.tracer.enabled:
             ctx = self.proc.trace_ctx
             data = {"proc": proc_num}
             if ctx is not None:
-                data["tid"] = ctx[0]
-                data["cparent"] = ctx[1]
+                data["tid"], data["cparent"] = ctx
             span = self.proc.tracer.begin(
                 "vrpc.call", "call proc %d" % proc_num,
                 track=self.proc.trace_track, data=data,
             )
-            if ctx is not None:
-                # The call span's own sid becomes the wire parent, so
-                # the serve span on the other node links under *this*
-                # call; a hardened resend carries identical bytes and
-                # the replay path never re-serves, so no double-count.
-                cred = encode_trace_cred(
-                    ctx[0], span.sid if span is not None else ctx[1])
         try:
             yield from self.proc.compute(costs.vrpc_call_prep)
             enc = XdrEncoder()
             header = RpcCallHeader(xid=next(_xids), prog=self.prog,
-                                   vers=self.vers, proc=proc_num, cred=cred)
+                                   vers=self.vers, proc=proc_num)
+            if ctx is not None:
+                # The serve span on the other node links under *this*
+                # call span; a hardened resend keeps the xid and the
+                # replay path never re-serves, so no double-count.
+                self.proc.tracer.post(
+                    ("vrpc", header.xid),
+                    (ctx[0], span.sid if span is not None else ctx[1]))
             header.encode(enc)
             encode_args(enc, args)
             payload = enc.getvalue()

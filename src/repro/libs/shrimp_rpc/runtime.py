@@ -68,21 +68,6 @@ _SRPC_FLUSH_TIMER = 0.10
 # full buffer images until the peer's CRC check passes.
 _HARDENED_EXT_BYTES = 16
 
-# Causal-tracing extension (docs/OBSERVABILITY.md "Causal traces").
-# When the machine-wide tracer is enabled at binding construction, each
-# frame grows two words — [trace_id][parent_sid] — written by the
-# client before the call word so the server can link its serve span to
-# the client's call span.  Tracing off keeps the layout byte-identical.
-_TRACE_EXT_BYTES = 8
-_TRACE_EXT = struct.Struct("<II")
-
-
-def _tag_span(span, ctx, cross: bool = False) -> None:
-    """Link an open span under trace context ``ctx`` (no-ops on None)."""
-    if span is not None and ctx is not None and isinstance(span.data, dict):
-        span.data["tid"] = ctx[0]
-        span.data["xparent" if cross else "cparent"] = ctx[1]
-
 
 _SCALAR_CODES = {"int": "<i", "uint": "<I", "float": "<f", "double": "<d"}
 
@@ -198,18 +183,15 @@ class _SrpcEndpointBase:
         # plan, so the layouts always agree.
         self.hardened = proc.faults.enabled
         self.hx_off = self.return_word_off + 4
-        # Traced bindings likewise reserve the [trace_id][parent_sid]
-        # words past the hardened extension; the flag comes from the
-        # machine-wide tracer, so both sides agree here too.
-        self.traced = proc.tracer.enabled
-        self.tx_off = self.hx_off + (_HARDENED_EXT_BYTES if self.hardened
-                                     else 0)
-        tail = self.tx_off + (_TRACE_EXT_BYTES if self.traced else 0)
+        tail = self.hx_off + (_HARDENED_EXT_BYTES if self.hardened else 0)
         self.window = window
         self.frame_stride = tail
         page = proc.config.page_size
         self.region_bytes = -(-(tail * window) // page) * page
         self.buf = 0  # local buffer vaddr (set during binding)
+        # The server buffer's (node, export id), set during binding: with
+        # a call's seq it names the call to the tracer's context hand-off.
+        self.call_key: Tuple[int, int] = (0, 0)
         # Buffer access is re-based onto the frame of the call being
         # issued, collected or served, and reset to 0 between calls.
         self._active_base = 0
@@ -236,19 +218,6 @@ class _SrpcEndpointBase:
     def _write(self, offset: int, data: bytes):
         yield from self.proc.write(self.buf + self._active_base + offset, data)
 
-    def _trace_words(self, ctx, psid: int = 0) -> bytes:
-        """Wire image of one frame's trace words (b"" when untraced).
-
-        Zeros are written when the caller has no trace context so a
-        frame reused across requests never leaks the previous call's
-        identifiers to the server.
-        """
-        if not self.traced:
-            return b""
-        if ctx is None:
-            return _TRACE_EXT.pack(0, 0)
-        return _TRACE_EXT.pack(ctx[0], psid if psid else ctx[1])
-
 
 class SrpcTicket:
     """One in-flight call, matched to its reply by sequence.
@@ -260,8 +229,8 @@ class SrpcTicket:
     """
 
     __slots__ = ("seq", "proc_id", "frame", "ret_bytes", "out_reads",
-                 "start_us", "raw", "bad", "done", "trace_sid", "trace_ctx",
-                 "call_span")
+                 "start_us", "raw", "bad", "done", "sync", "trace_sid",
+                 "trace_ctx")
 
     def __init__(self, seq: int, proc_id: int, frame: int,
                  ret_bytes: int, out_reads, start_us: float):
@@ -274,14 +243,14 @@ class SrpcTicket:
         self.raw: Optional[List[bytes]] = None
         self.bad = False
         self.done = False
-        # The call-span sid and the caller's trace context, captured at
-        # submit so the wire advertises them and the span links into the
-        # same causal tree.  A synchronous call passes its open span,
-        # which the caller ends; a ``*_begin`` call has none, so its sid
-        # is reserved at submit and the span completed at harvest.
+        # A synchronous call's span is opened and ended by the caller; a
+        # ``*_begin`` call's span is completed at harvest, under the sid
+        # reserved at submit.  The call-span sid and the caller's trace
+        # context are captured at submit, so the server's serve span and
+        # the call span link into the same causal tree.
+        self.sync = False
         self.trace_sid: Optional[int] = None
         self.trace_ctx = None
-        self.call_span = None
 
 
 class SrpcClientBase(_SrpcEndpointBase):
@@ -328,6 +297,7 @@ class SrpcClientBase(_SrpcEndpointBase):
         reply: _SrpcBindReply = frame.payload
         if not reply.ok:
             raise SrpcError("bind failed: %s" % reply.error)
+        self.call_key = (reply.server_node, reply.buffer_export)
         yield from self._bind_to_peer(reply.server_node, reply.buffer_export)
 
     def _invoke(self, proc_id: int, writes: List[Tuple[int, bytes]],
@@ -350,14 +320,17 @@ class SrpcClientBase(_SrpcEndpointBase):
         proc = self.proc
         span = None
         if proc.tracer.enabled:
+            data = {"proc": proc_id}
+            if proc.trace_ctx is not None:
+                data["tid"], data["cparent"] = proc.trace_ctx
             span = proc.tracer.begin(
                 "srpc.call", "call proc %d" % proc_id, track=proc.trace_track,
-                data={"proc": proc_id},
+                data=data,
             )
-            _tag_span(span, proc.trace_ctx)
         try:
             ticket = yield from self._submit(proc_id, writes, ret_bytes,
-                                             out_reads, span)
+                                             out_reads, sync=True,
+                                             call_span=span)
             yield from self._harvest(ticket)
         finally:
             # finally: fault-raised timeouts must not leak the call span
@@ -369,15 +342,16 @@ class SrpcClientBase(_SrpcEndpointBase):
 
     def _submit(self, proc_id: int, writes: List[Tuple[int, bytes]],
                 ret_bytes: int, out_reads: List[Tuple[int, int]],
-                call_span=None):
+                sync: bool = False, call_span=None):
         """Issue one call into its frame and return its :class:`SrpcTicket`.
 
         If the call's frame still holds an unharvested ticket (the
         window is full) that occupant is harvested first — sliding-
         window flow control.  The arguments and call word land in the
         call's own frame; the reply is collected later by
-        :meth:`_harvest`.  ``call_span`` is a synchronous caller's open
-        call span.
+        :meth:`_harvest`.  ``sync`` marks a synchronous call, whose
+        caller owns its call span (``call_span``; None when the tracer
+        is off or refused it).
         """
         proc = self.proc
         # Deferred charge: everything between here and the first buffer
@@ -394,26 +368,24 @@ class SrpcClientBase(_SrpcEndpointBase):
         call_word = struct.pack("<I", (seq << 16) | proc_id)
         ticket = SrpcTicket(seq, proc_id, frame, ret_bytes, out_reads,
                             proc.sim.now)
-        ticket.call_span = call_span
-        ticket.trace_ctx = proc.trace_ctx
-        if call_span is not None:
-            ticket.trace_sid = call_span.sid
-        elif proc.tracer.enabled:
-            ticket.trace_sid = proc.tracer.reserve_sid()
-        trace_words = self._trace_words(ticket.trace_ctx,
-                                        ticket.trace_sid or 0)
+        ticket.sync = sync
+        ticket.trace_ctx = ctx = proc.trace_ctx
+        if proc.tracer.enabled:
+            if call_span is not None:
+                ticket.trace_sid = call_span.sid
+            elif not sync:
+                ticket.trace_sid = proc.tracer.reserve_sid()
+            # The serve span links under this call's span.  None
+            # withdraws a context posted under this key a seq wrap ago.
+            proc.tracer.post(self.call_key + (seq,), None if ctx is None
+                             else (ctx[0], ticket.trace_sid or ctx[1]))
         self._active_base = frame * self.frame_stride
         try:
             if self.hardened:
                 for offset, data in _coalesce(writes):
                     yield from self._write(offset, data)
-                yield from self._transmit_frame(frame, call_word, trace_words)
+                yield from self._transmit_frame(frame, call_word)
             else:
-                if trace_words:
-                    # The trace words sit past the call word, so they
-                    # cannot join the coalesced stream — they must land
-                    # before the call word wakes the server's poll.
-                    yield from self._write(self.tx_off, trace_words)
                 for offset, data in _coalesce(
                         writes + [(self.call_word_off, call_word)]):
                     yield from self._write(offset, data)
@@ -430,8 +402,7 @@ class SrpcClientBase(_SrpcEndpointBase):
             self._depth_total += depth
         return ticket
 
-    def _transmit_frame(self, frame: int, call_word: bytes,
-                        trace_words: bytes = b""):
+    def _transmit_frame(self, frame: int, call_word: bytes):
         """One hardened transmission of a frame's call image: the full
         args image, the call word and the [xmit][crc] stamp.  Idempotent
         — the retry loop replays it until the server's CRC check
@@ -439,15 +410,13 @@ class SrpcClientBase(_SrpcEndpointBase):
         the frame; per-frame xmit counters keep concurrent calls'
         replays distinguishable."""
         args_img = yield from self._read(0, self.call_word_off)
-        crc = crc32_of(args_img, call_word, trace_words)
+        crc = crc32_of(args_img, call_word)
         xmit = (self._call_xmits.get(frame, 0) + 1) & 0xFFFFFFFF
         self._call_xmits[frame] = xmit
         # Stamp last: the server treats a stamp bump whose CRC matches
         # the already-present call image as the trigger, so the image
         # must land first.
         yield from self._write(0, args_img + call_word)
-        if trace_words:
-            yield from self._write(self.tx_off, trace_words)
         yield from self._write(self.hx_off, struct.pack("<II", xmit, crc))
 
     def _harvest(self, ticket: SrpcTicket):
@@ -465,9 +434,7 @@ class SrpcClientBase(_SrpcEndpointBase):
             if self.hardened:
                 call_word = struct.pack("<I", (seq << 16) | ticket.proc_id)
                 result, args_img, ret_img = yield from self._retry_frame(
-                    ticket, call_word, expected_ok, expected_bad,
-                    self._trace_words(ticket.trace_ctx,
-                                      ticket.trace_sid or 0))
+                    ticket, call_word, expected_ok, expected_bad)
                 # Everything was read (and CRC-validated) as full
                 # images; slice the slots out instead of re-reading.
                 if ticket.ret_bytes:
@@ -508,19 +475,17 @@ class SrpcClientBase(_SrpcEndpointBase):
         if self._frames.get(ticket.frame) is ticket:
             del self._frames[ticket.frame]
         self.calls_made += 1
-        if proc.tracer.enabled and ticket.call_span is None:
+        if proc.tracer.enabled and not ticket.sync:
             data = {"proc": ticket.proc_id, "seq": seq}
             if ticket.trace_ctx is not None:
-                data["tid"] = ticket.trace_ctx[0]
-                data["cparent"] = ticket.trace_ctx[1]
+                data["tid"], data["cparent"] = ticket.trace_ctx
             proc.tracer.complete(
                 "srpc.call", "call proc %d" % ticket.proc_id,
                 ticket.start_us, track=proc.trace_track,
                 data=data, sid=ticket.trace_sid,
             )
 
-    def _retry_frame(self, ticket, call_word, expected_ok, expected_bad,
-                     trace_words: bytes = b""):
+    def _retry_frame(self, ticket, call_word, expected_ok, expected_bad):
         """Hardened harvest: wait for a CRC-valid reply in the ticket's
         frame, retransmitting its call image on timeout; returns
         (return word, args image, ret image) or raises SrpcTimeoutError.
@@ -569,7 +534,7 @@ class SrpcClientBase(_SrpcEndpointBase):
                 # Corrupt or partial: wait for the server's next replay.
 
         got = yield from retransmit(
-            lambda: self._transmit_frame(ticket.frame, call_word, trace_words),
+            lambda: self._transmit_frame(ticket.frame, call_word),
             await_reply, self.call_word_off, sent=True,
         )
         if got is None:
@@ -683,6 +648,7 @@ class SrpcServerBase(_SrpcEndpointBase):
                                request.reply_port, reply)
             raise SrpcError("client expected %s v%d" % (request.interface, request.version))
         export = yield from self._make_buffer()
+        self.call_key = (self.proc.node.node_id, export.export_id)
         reply = _SrpcBindReply(
             ok=True,
             server_node=self.proc.node.node_id,
@@ -715,28 +681,20 @@ class SrpcServerBase(_SrpcEndpointBase):
                 )
                 word = struct.unpack("<I", raw)[0]
             seq, proc_id = word >> 16, word & 0xFFFF
-            wire_ctx = None
-            if self.traced:
-                tw = yield from self._read(base + self.tx_off,
-                                           _TRACE_EXT_BYTES)
-                tid, psid = _TRACE_EXT.unpack(tw)
-                if tid:
-                    wire_ctx = (tid, psid)
-            span = None
+            span = ctx = None
             if proc.tracer.enabled:
                 span = proc.tracer.begin(
                     "srpc.serve", "serve proc %d" % proc_id,
                     track=proc.trace_track,
                     data={"proc": proc_id, "seq": seq},
                 )
-                _tag_span(span, wire_ctx, cross=True)
+                ctx = proc.tracer.claim(self.call_key + (seq,), span)
             self._reply_log = self._reply_logs[frame] = []
             prev_ctx = proc.trace_ctx
-            if wire_ctx is not None:
+            if ctx is not None:
                 # Downstream work the dispatcher starts (replication,
                 # nested calls) parents under this serve span.
-                proc.trace_ctx = (wire_ctx[0], span.sid if span is not None
-                                  else wire_ctx[1])
+                proc.trace_ctx = ctx
             self._active_base = base
             try:
                 # Deferred charge: dispatcher lookup and ParamRef setup
@@ -826,11 +784,7 @@ class SrpcServerBase(_SrpcEndpointBase):
                 if f != frame and not replay:
                     continue  # the served call's stamp has not moved
                 args_img = yield from self._read(fb, call_off)
-                tw = b""
-                if self.traced:
-                    tw = yield from self._read(fb + self.tx_off,
-                                               _TRACE_EXT_BYTES)
-                if crc32_of(args_img, raw, tw) != call_crc:
+                if crc32_of(args_img, raw) != call_crc:
                     continue  # corrupt, or a stamp racing its image
                 if new:
                     self._call_xmits_seen[f] = call_xmit

@@ -249,6 +249,11 @@ class ShrimpSocket:
         self.closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
+        # Each direction's stream is named to the tracer's context
+        # hand-off by the receiver's ring, (node, export id); a request
+        # within it by its stream offset.
+        self.in_key = (self.proc.node.node_id, half.ring_export.export_id)
+        self.out_key = (0, 0)  # the peer's ring, set by _attach_peer()
 
     # ------------------------------------------------------------------
     # Setup
@@ -258,6 +263,7 @@ class ShrimpSocket:
         lib = self.lib
         page = self.proc.config.page_size
         self.out_ring = RecordRing(ring_bytes)
+        self.out_key = (node, ring_export)
         self.imp_ring = yield from self.ep.import_buffer(node, ring_export)
         self.imp_ctrl = yield from self.ep.import_buffer(node, ctrl_export)
         self.au_ctrl_out = self.ep.alloc_buffer(page, cache_mode=CacheMode.WRITE_THROUGH)

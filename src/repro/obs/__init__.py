@@ -1,9 +1,9 @@
 """repro.obs — causal tracing, time-series telemetry, SLO monitoring.
 
 Layered on :mod:`repro.sim.trace`: the transports tag their spans with
-trace contexts (:mod:`~repro.obs.context`) carried in their wire
-formats, :mod:`~repro.obs.assemble` reconstructs cross-node causal
-trees with critical paths and stage budgets, and
+trace contexts the tracer hands across each wire hop (its "Causal
+trace context" section), :mod:`~repro.obs.assemble` reconstructs
+cross-node causal trees with critical paths and stage budgets, and
 :mod:`~repro.obs.timeseries`/:mod:`~repro.obs.slo` watch the system's
 health over time.  See docs/OBSERVABILITY.md "Causal traces & SLOs".
 """
@@ -18,7 +18,6 @@ from .assemble import (
     explain_trace,
     format_tree,
 )
-from .context import TRACE_EXT, TRACE_EXT_BYTES, pack_ctx, span_tags, unpack_ctx
 from .diff import DiffResult, StageDelta, diff_bench_payloads, diff_profiles
 from .profile import (
     PROFILE_STAGES,
@@ -33,7 +32,6 @@ from .slo import FlightRecorder, SloAlert, SloMonitor, SloObjective
 from .timeseries import RingBuffer, TelemetrySampler, WindowedLatency, WindowSample
 
 __all__ = [
-    "TRACE_EXT", "TRACE_EXT_BYTES", "pack_ctx", "unpack_ctx", "span_tags",
     "TraceTree", "PathSegment", "ExplainResult", "STAGE_ORDER",
     "assemble_traces", "audit", "explain_trace", "format_tree",
     "PROFILE_STAGES", "Profile", "RequestProfile", "build_profile",

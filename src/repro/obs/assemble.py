@@ -1,12 +1,13 @@
 """Reconstruct cross-node causal trees from exported spans.
 
 Every request traced under :mod:`repro.obs` leaves three kinds of
-links in span data (see :mod:`repro.obs.context`):
+links in span data (see "Causal trace context" in
+:mod:`repro.sim.trace`):
 
 * ``tid`` — which causal tree the span belongs to;
 * ``cparent`` — same-process causal parent span id;
 * ``xparent`` — cross-wire causal parent span id (the sender-side
-  span whose frame/envelope carried the context).
+  span that posted the context the receiver claimed).
 
 Untagged spans (``cpu.store`` under an ``srpc.call``, ...) join a tree
 through the tracer's ordinary same-track ``parent`` links: walking a

@@ -82,7 +82,7 @@ def test_peek_payload_reads_slot():
             if parsed is not None:
                 break
             yield proc.sim.timeout(10.0)
-        slot, mtype, size, _seq, _tctx = parsed
+        slot, mtype, size, _seq = parsed
         out["peek"] = conn.peek_payload(slot, size)
         out["mtype"] = mtype
 

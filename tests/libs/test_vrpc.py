@@ -244,3 +244,37 @@ def test_null_rtt_near_29us():
     c = system.spawn(0, client)
     system.run_processes([s, c])
     assert 26.0 < timing["rtt"] < 32.0, timing["rtt"]
+
+
+def _null_call(trace):
+    """One VRPC null call, made under a trace context when ``trace``;
+    returns the run's spans and the call's simulated completion time."""
+    system = make_system()
+    tracer = system.machine.tracer
+    tracer.enabled = trace
+    done = {}
+
+    def server(proc):
+        srv = VrpcServer(system, proc, PROG, VERS)
+        srv.register(0, lambda args: None)
+        yield from srv.accept_binding()
+        yield from srv.svc_run(max_calls=1)
+
+    def client(proc):
+        handle = yield from clnt_create(system, proc, 1, PROG, VERS)
+        if trace:
+            proc.trace_ctx = (tracer.new_trace_id(), tracer.reserve_sid())
+        yield from handle.call(0)
+        done["us"] = proc.sim.now
+
+    system.run_processes([system.spawn(1, server), system.spawn(0, client)])
+    return tracer.spans, done["us"]
+
+
+def test_traced_call_links_its_serve_span_without_moving_time():
+    spans, traced_us = _null_call(trace=True)
+    _, untraced_us = _null_call(trace=False)
+    (call,) = [s for s in spans if s.category == "vrpc.call"]
+    (serve,) = [s for s in spans if s.category == "vrpc.serve"]
+    assert serve.data == {"tid": call.data["tid"], "xparent": call.sid}
+    assert traced_us == untraced_us

@@ -248,7 +248,7 @@ def test_open_root_trees_are_skipped_not_crashed():
 
 def test_commands_report_spans_past_the_tracer_limit(monkeypatch, capsys):
     """A traced run that outgrows ``Tracer.limit`` says so, and counts
-    at least every span a limitless run records past the limit."""
+    each span a limitless run records past the limit exactly once."""
     from repro.__main__ import main
     from repro.hardware import machine
     from repro.sim import Tracer
@@ -268,8 +268,7 @@ def test_commands_report_spans_past_the_tracer_limit(monkeypatch, capsys):
         assert len(notes) == 1
         match = re.fullmatch(r"tracer limit of (\d+) spans reached: "
                              r"(\d+) more spans refused", notes[0])
-        assert int(match.group(1)) == limit
-        # A synchronous SRPC call whose span is refused at begin is
-        # refused again at harvest, so refusals can exceed the spans
-        # past the limit, never fall short of them.
-        assert int(match.group(2)) >= total - limit
+        recorded, refused = int(match.group(1)), int(match.group(2))
+        assert recorded == limit
+        assert refused == total - limit
+        assert recorded + refused == total

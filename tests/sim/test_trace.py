@@ -109,6 +109,40 @@ def test_clear_drops_spans_and_refusal_count():
     assert fresh.parent is None
 
 
+def test_claim_tags_the_receive_span_and_returns_the_adopted_context():
+    tracer = Tracer(Simulator(), enabled=True)
+    tracer.post(("n1", 7), (5, 11))
+    serve = tracer.begin("srpc.serve", "serve", data={"proc": 2})
+    assert tracer.claim(("n1", 7), serve) == (5, serve.sid)
+    assert serve.data == {"proc": 2, "tid": 5, "xparent": 11}
+    recv = tracer.begin("nx.crecv", "recv")  # no data yet: claim adds it
+    tracer.post(("n1", 8), (5, 12))
+    tracer.claim(("n1", 8), recv)
+    assert recv.data == {"tid": 5, "xparent": 12}
+
+
+def test_a_claim_returns_what_was_posted_until_clear():
+    # A retransmitted message claims under its original key again, so a
+    # replay finds the same parent; a refused receive span (None) adopts
+    # the sender's context as is.
+    tracer = Tracer(Simulator(), enabled=True)
+    tracer.post(("vrpc", 9), (3, 4))
+    assert tracer.claim(("vrpc", 9), None) == (3, 4)
+    assert tracer.claim(("vrpc", 9), None) == (3, 4)
+    tracer.clear()
+    assert tracer.claim(("vrpc", 9), None) is None
+
+
+def test_claim_finds_nothing_unposted_or_withdrawn():
+    tracer = Tracer(Simulator(), enabled=True)
+    span = tracer.begin("kv.serve", "serve", data={"op": 1})
+    assert tracer.claim(("n0", 1), span) is None
+    tracer.post(("n0", 1), (3, 4))
+    tracer.post(("n0", 1), None)  # a reused key sent without context
+    assert tracer.claim(("n0", 1), span) is None
+    assert span.data == {"op": 1}
+
+
 def test_stopwatch_measures_span():
     sim = Simulator()
     sw = Stopwatch(sim)
