@@ -3,12 +3,13 @@
 The disabled-tracing cost contract (docs/OBSERVABILITY.md) is one
 attribute load and one branch per site: every tracer producer call
 (``begin``, ``complete``, ``instant``, ``reserve_sid``,
-``new_trace_id``), and every telemetry hook (``sampler.window.record``,
+``new_trace_id``), every cross-wire context hand-off (``post``,
+``claim``), and every telemetry hook (``sampler.window.record``,
 ``recorder.capture``), must sit behind a cheap guard — an
-``if ...enabled:`` / ``if ...traced:`` block, an early
-``if not tracer.enabled: return``, or an ``is not None`` check on an
-object that only exists when telemetry is on.  ``tracer.end`` is
-exempt (``end(None)`` is a no-op by design).
+``if ...enabled:`` block (or the workload engine's ``if traced:``
+local), an early ``if not tracer.enabled: return``, or an
+``is not None`` check on an object that only exists when telemetry is
+on.  ``tracer.end`` is exempt (``end(None)`` is a no-op by design).
 
 This test parses the source of every span-emitting module and fails on
 any unguarded emission, so a refactor that drops a guard (and silently
@@ -21,9 +22,10 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Tracer methods whose calls count as span emission: the span
-#: producers and the id allocators that only serve them.
+#: producers, the id allocators that only serve them, and the
+#: cross-wire context hand-off.
 EMITTING_ATTRS = {"begin", "complete", "instant", "reserve_sid",
-                  "new_trace_id"}
+                  "new_trace_id", "post", "claim"}
 #: Telemetry hooks: (attribute called, object-chain substring required).
 #: ``profiling.tag_root`` mutates the just-closed root span's data dict
 #: (workload/engine.py), so it is a hot-path hook like the sampler.
@@ -50,8 +52,7 @@ def _chain(node):
 def _is_guard_test(test):
     """Whether an ``if`` test establishes the emission guard."""
     for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr in ("enabled",
-                                                            "traced"):
+        if isinstance(node, ast.Attribute) and node.attr == "enabled":
             return True
         if isinstance(node, ast.Name) and node.id == "traced":
             return True
@@ -183,6 +184,30 @@ def test_auditor_flags_unguarded_instant_and_id_allocation():
         "<module>:4: unguarded self.tracer.reserve_sid emission"]
 
 
+def test_auditor_flags_unguarded_context_hand_off():
+    bad = (
+        "def send(self, key, ctx, span):\n"
+        "    self.tracer.post(key, ctx)\n"
+        "    self.tracer.claim(key, span)\n"
+    )
+    assert find_unguarded(bad) == [
+        "<module>:2: unguarded self.tracer.post emission",
+        "<module>:3: unguarded self.tracer.claim emission"]
+
+
+def test_auditor_rejects_a_traced_attribute_as_guard():
+    # Only the tracer's own flag (or the engine's ``traced`` local,
+    # a copy of the spec's) is a guard; a per-object ``traced`` flag
+    # could drift from the tracer's state.
+    bad = (
+        "def serve(self):\n"
+        "    if self.traced:\n"
+        "        self.proc.tracer.complete('c', 'n', 0.0, track='t')\n"
+    )
+    assert find_unguarded(bad) == [
+        "<module>:3: unguarded self.proc.tracer.complete emission"]
+
+
 def test_auditor_accepts_guarded_root_tagging():
     # The exact style workload/engine.py uses around its tag_root sites.
     good = (
@@ -205,9 +230,9 @@ def test_auditor_accepts_the_guard_styles():
         "def c(sampler, latency):\n"
         "    if sampler is not None:\n"
         "        sampler.window.record(latency)\n"
-        "def d(self):\n"
-        "    if self.traced:\n"
-        "        self.proc.tracer.complete('c', 'n', 0.0, track='t')\n"
+        "def d(tracer, traced):\n"
+        "    if traced:\n"
+        "        tracer.complete('c', 'n', 0.0, track='t')\n"
     )
     assert find_unguarded(good) == []
 
