@@ -53,9 +53,6 @@ class SoftwareCosts:
     call_overhead: float = 0.20
     """One user-level procedure call + argument setup on the 60 MHz Pentium."""
 
-    branch_check: float = 0.10
-    """A flag test / bounds check in protocol code."""
-
     # -- VMMC basic library ---------------------------------------------
     vmmc_send_call: float = 0.30
     """User-level bookkeeping in vmmc_send before touching the NIC."""
@@ -210,9 +207,6 @@ class MachineConfig:
     xpress_bandwidth: float = 73.0
     """Xpress memory bus maximum burst write bandwidth: 73 MB/s."""
 
-    eisa_peak_bandwidth: float = 33.0
-    """EISA burst bandwidth: 33 MB/s (documentation value; not reached)."""
-
     eisa_dma_bandwidth: float = 26.5
     """Effective EISA DMA streaming rate.  The paper measured ~23 MB/s
     end-to-end 'limited only by the aggregate DMA bandwidth of the shared
@@ -302,9 +296,6 @@ class MachineConfig:
     ethernet_latency: float = 400.0
     """Per-message software latency of the kernel UDP/IP path on Linux of
     the era (used only off the critical path: daemons, connect/accept)."""
-
-    ethernet_max_frame: int = 1500
-    """MTU of the control network."""
 
     # -- software ---------------------------------------------------------
     costs: SoftwareCosts = field(default_factory=SoftwareCosts)
