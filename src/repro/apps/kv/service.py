@@ -24,7 +24,7 @@ sees service-level queues exactly like hardware FIFOs.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ...kernel.system import ShrimpSystem
 from ...libs.nx import VARIANTS, nx_world
@@ -133,6 +133,9 @@ class KVService:
         self.nodes = list(range(system.config.n_nodes))
         self.replicas = max(1, min(replicas, len(self.nodes)))
         self.ring = HashRing(self.nodes)
+        # Each key's replica set, memoized: the ring and the replica
+        # count never change after construction.
+        self._replica_sets: Dict[str, Tuple[int, ...]] = {}
         self.stores: Dict[int, ShardStore] = {
             node: ShardStore(node) for node in self.nodes}
         # Replica correctness (docs/REPLICATION.md): ``versioned``
@@ -208,8 +211,13 @@ class KVService:
             struct.pack("<HH", node, self.ring.vnodes) for node in self.nodes)
 
     def replicas_for(self, key: str) -> List[int]:
-        """The replica set of ``key``, primary first."""
-        return self.ring.replicas(key, self.replicas)
+        """The replica set of ``key``, primary first, as a fresh list
+        the caller may keep or change."""
+        reps = self._replica_sets.get(key)
+        if reps is None:
+            reps = self._replica_sets[key] = tuple(
+                self.ring.replicas(key, self.replicas))
+        return list(reps)
 
     def _mutation_noter(self, node: int):
         """The store hook keeping node ``node``'s pair trees current.

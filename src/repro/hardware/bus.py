@@ -71,8 +71,14 @@ class EisaBus(BandwidthChannel):
         """CPU time of ``accesses`` programmed-I/O accesses decoded by the NIC.
 
         A deliberate update is initiated by a sequence of two of these.
+        Counts them now; a caller that sleeps first takes the time from
+        :meth:`pio_time` and counts ``pio_accesses`` after the sleep.
         """
         self.pio_accesses += accesses
+        return self.pio_time(accesses)
+
+    def pio_time(self, accesses: int = 1) -> float:
+        """CPU time of ``accesses`` programmed-I/O accesses, uncounted."""
         return accesses * self.config.eisa_pio_access
 
 

@@ -37,6 +37,12 @@ class CacheMode(enum.Enum):
     UNCACHED = "uncached"
 
 
+# The cost model runs on every CPU access; reading an Enum member through
+# its class costs a descriptor lookup each time, a module global does not.
+_WRITE_THROUGH = CacheMode.WRITE_THROUGH
+_WRITE_BACK = CacheMode.WRITE_BACK
+
+
 @dataclass
 class SoftwareCosts:
     """Per-operation CPU costs of the user-level library code.
@@ -320,33 +326,33 @@ class MachineConfig:
     # -- cost helpers -------------------------------------------------------
     def write_cost(self, mode: CacheMode, nbytes: int) -> float:
         """CPU cost of writing ``nbytes`` to memory of the given mode."""
-        if mode is CacheMode.WRITE_THROUGH:
+        if mode is _WRITE_THROUGH:
             return self.wt_write_base + nbytes * self.wt_write_per_byte
-        if mode is CacheMode.WRITE_BACK:
+        if mode is _WRITE_BACK:
             return self.wb_write_base + nbytes * self.wb_write_per_byte
         return self.uc_write_base + nbytes * self.uc_write_per_byte
 
     def read_cost(self, mode: CacheMode, nbytes: int) -> float:
         """CPU cost of reading ``nbytes`` from memory of the given mode."""
-        if mode is CacheMode.WRITE_THROUGH:
+        if mode is _WRITE_THROUGH:
             return self.wt_read_base + nbytes * self.read_per_byte
-        if mode is CacheMode.WRITE_BACK:
+        if mode is _WRITE_BACK:
             return self.wb_read_base + nbytes * self.read_per_byte
         return self.uc_read_base + nbytes * self.uc_read_per_byte
 
     def write_rate(self, mode: CacheMode) -> "tuple[float, float]":
         """(base, per_byte) write cost components for streaming loops."""
-        if mode is CacheMode.WRITE_THROUGH:
+        if mode is _WRITE_THROUGH:
             return self.wt_write_base, self.wt_write_per_byte
-        if mode is CacheMode.WRITE_BACK:
+        if mode is _WRITE_BACK:
             return self.wb_write_base, self.wb_write_per_byte
         return self.uc_write_base, self.uc_write_per_byte
 
     def read_rate(self, mode: CacheMode) -> "tuple[float, float]":
         """(base, per_byte) read cost components for streaming loops."""
-        if mode is CacheMode.WRITE_THROUGH:
+        if mode is _WRITE_THROUGH:
             return self.wt_read_base, self.read_per_byte
-        if mode is CacheMode.WRITE_BACK:
+        if mode is _WRITE_BACK:
             return self.wb_read_base, self.read_per_byte
         return self.uc_read_base, self.uc_read_per_byte
 

@@ -131,16 +131,19 @@ class PhysicalMemory:
                 page = bytearray(page_size)
                 self._pages[page_number] = page
             page[page_offset : page_offset + nbytes] = data
-        else:
-            offset = 0
-            while offset < nbytes:
-                addr = paddr + offset
-                page_number, page_offset = divmod(addr, page_size)
-                chunk = min(nbytes - offset, page_size - page_offset)
-                self._page(page_number)[page_offset : page_offset + chunk] = data[
-                    offset : offset + chunk
-                ]
-                offset += chunk
+            # Most stores land on pages nobody watches: skip the scan.
+            if self._watch_count and page_number in self._watch_pages:
+                self._fire_watches(paddr, nbytes)
+            return
+        offset = 0
+        while offset < nbytes:
+            addr = paddr + offset
+            page_number, page_offset = divmod(addr, page_size)
+            chunk = min(nbytes - offset, page_size - page_offset)
+            self._page(page_number)[page_offset : page_offset + chunk] = data[
+                offset : offset + chunk
+            ]
+            offset += chunk
         if self._watch_count:
             self._fire_watches(paddr, nbytes)
 

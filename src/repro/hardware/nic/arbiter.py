@@ -57,16 +57,16 @@ class Arbiter:
         """Claim the port; True if granted now, else ``fn(*args)`` runs
         at the grant."""
         if self._held:
-            self._waiting[priority].append((self.sim._now, fn, args))
+            self._waiting[priority].append((self.sim.now, fn, args))
             return False
         self._held = True
-        self._busy_since = self.sim._now
+        self._busy_since = self.sim.now
         self.grants += 1
         return True
 
     def release(self) -> None:
         """Give the port back; the next claim, if any, takes it now."""
-        now = self.sim._now
+        now = self.sim.now
         self.busy_time += now - self._busy_since
         for waiting in self._waiting:
             if waiting:

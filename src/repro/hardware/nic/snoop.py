@@ -34,8 +34,16 @@ class SnoopLogic:
         """Process one bus write of ``data`` at physical address ``paddr``."""
         self.writes_seen += 1
         page_size = self.config.page_size
-        offset = 0
         nbytes = len(data)
+        page, page_offset = divmod(paddr, page_size)
+        if 0 < nbytes <= page_size - page_offset:
+            # One page (nearly every CPU store): one OPT lookup.
+            entry = self.opt.lookup(page)
+            if entry is not None:
+                self.writes_matched += 1
+                self.packetizer.au_write(page_offset, data, entry)
+            return
+        offset = 0
         while offset < nbytes:
             addr = paddr + offset
             page, page_offset = divmod(addr, page_size)

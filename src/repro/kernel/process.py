@@ -14,9 +14,9 @@ user level on the application's own CPU.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..hardware.config import CacheMode
 from ..hardware.node import Node
 from ..sim import Event, Simulator
 from ..sim.timers import TimerWheel
@@ -82,84 +82,115 @@ class UserProcess:
         return "<UserProcess %s on node %d>" % (self.name, self.node.node_id)
 
     # -- memory operations -------------------------------------------------
+    #
+    # Every sleep below yields a plain float deadline (one heap entry,
+    # no Event; see repro.sim.process).  Each deadline adds the cost
+    # model's float costs, or the banked ``lead`` (always a float), to
+    # ``sim.now``, so none is ever an int; with no lead banked,
+    # ``now + 0.0`` is ``now`` exactly.  Wherever ``translate`` used to
+    # run, a range inside one page takes one ``page_table`` lookup
+    # instead; anything else (a straddling range, a fault) still takes
+    # ``AddressSpace.translate``, which raises the same ProtectionFault
+    # at the same point as ever.
     def write(self, vaddr: int, data: bytes):
         """Timed store of ``data`` at ``vaddr``; snooped by the NIC.
 
         Large writes stream in ``cpu_stream_chunk`` pieces so the NIC
         sees (and packetizes) the data as it is produced, pipelining an
         AU-bound copy with the network — the base cost is charged once,
-        per-byte cost per chunk.
+        per-byte cost per chunk.  The cache mode is read before the
+        sleep and the store is translated when it lands, after it.
         """
+        sim = self.sim
+        tracer = self.tracer
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if self.tracer.enabled:
+            if tracer.enabled:
                 # Traced runs keep the historical shape: the deferred
                 # charge sleeps on its own (exactly the compute() it
                 # replaced) so span starts, durations, and sid order
                 # are untouched by the wake merge.
-                yield self.sim.timeout_at(self.sim.now + lead)
+                yield sim.now + lead
                 lead = 0.0
-        mode = self.space.cache_mode_of(vaddr)
+        space = self.space
+        pte = space.page_table.get(vaddr // self.config.page_size)
+        mode = pte.cache_mode if pte is not None else space.cache_mode_of(vaddr)
         base, per_byte = self.config.write_rate(mode)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin(
+        if tracer.enabled:
+            span = tracer.begin(
                 "cpu.store", "store %dB" % len(data), track=self.trace_track,
                 data={"bytes": len(data)},
             )
         nbytes = len(data)
-        start = self.sim.now
-        if lead:
-            start = start + lead
+        start = sim.now + lead
         if nbytes <= self.config.cpu_stream_chunk:
             # Single-chunk fast path: one wake instead of two.  The
             # deadline is computed with the same float operations the
             # two-sleep version performs ((now + base) + n*per_byte), so
             # the landing instant is bit-exact.
-            yield self.sim.timeout_at((start + base) + nbytes * per_byte)
-            piece = data
-            for paddr, length in self.space.translate(vaddr, nbytes, write=True):
-                sub = piece[:length]
-                self.node.memory.write(paddr, sub)
-                self.node.nic.snoop_write(paddr, sub)
-                piece = piece[length:]
+            yield (start + base) + nbytes * per_byte
+            self._store(vaddr, data)
         else:
-            yield self.sim.timeout_at(start + base)
+            yield start + base
             yield from self._stream_out(vaddr, data, per_byte)
-        self.tracer.end(span)
+        if span is not None:
+            tracer.end(span)
 
     def _stream_out(self, vaddr: int, data: bytes, per_byte: float):
         """Chunked store loop: charge, land bytes, snoop — per chunk."""
+        sim = self.sim
         chunk_size = self.config.cpu_stream_chunk
-        offset = 0
-        while offset < len(data):
+        for offset in range(0, len(data), chunk_size):
             piece = data[offset : offset + chunk_size]
-            yield self.sim.timeout(len(piece) * per_byte)
-            for paddr, length in self.space.translate(
-                vaddr + offset, len(piece), write=True
-            ):
-                sub = piece[:length]
-                self.node.memory.write(paddr, sub)
-                self.node.nic.snoop_write(paddr, sub)
-                piece = piece[length:]
-            offset += chunk_size
+            yield sim.now + len(piece) * per_byte
+            self._store(vaddr + offset, piece)
+
+    def _store(self, vaddr: int, data: bytes) -> None:
+        """Land a CPU store now: translate, write memory, feed the snoop."""
+        memory = self.node.memory
+        nic = self.node.nic
+        nbytes = len(data)
+        page_size = self.config.page_size
+        vpage, offset = divmod(vaddr, page_size)
+        pte = self.space.page_table.get(vpage)
+        if pte is not None and pte.writable and 0 < nbytes <= page_size - offset:
+            paddr = pte.frame * page_size + offset
+            memory.write(paddr, data)
+            nic.snoop_write(paddr, data)
+            return
+        piece = data
+        for paddr, length in self.space.translate(vaddr, nbytes, write=True):
+            sub = piece[:length]
+            memory.write(paddr, sub)
+            nic.snoop_write(paddr, sub)
+            piece = piece[length:]
 
     def read(self, vaddr: int, nbytes: int):
-        """Timed load of ``nbytes`` at ``vaddr``; returns the bytes."""
+        """Timed load of ``nbytes`` at ``vaddr``; returns the bytes.
+
+        Translated before the sleep, loaded after it.
+        """
+        sim = self.sim
         lead = self._lead
         if lead:
             self._lead = 0.0
             if self.tracer.enabled:  # see write(): traced runs don't merge
-                yield self.sim.timeout_at(self.sim.now + lead)
+                yield sim.now + lead
                 lead = 0.0
-        segments = self.space.translate(vaddr, nbytes, write=False)
-        mode = self.space.cache_mode_of(vaddr)
-        start = self.sim.now
-        if lead:
-            start = start + lead
-        yield self.sim.timeout_at(start + self.config.read_cost(mode, nbytes))
-        return b"".join(self.node.memory.read(paddr, length) for paddr, length in segments)
+        space = self.space
+        page_size = self.config.page_size
+        vpage, offset = divmod(vaddr, page_size)
+        pte = space.page_table.get(vpage)
+        if pte is not None and pte.readable and 0 < nbytes <= page_size - offset:
+            yield (sim.now + lead) + self.config.read_cost(pte.cache_mode, nbytes)
+            return self.node.memory.read(pte.frame * page_size + offset, nbytes)
+        segments = space.translate(vaddr, nbytes, write=False)
+        mode = space.cache_mode_of(vaddr)
+        yield (sim.now + lead) + self.config.read_cost(mode, nbytes)
+        memory = self.node.memory
+        return b"".join(memory.read(paddr, length) for paddr, length in segments)
 
     def copy(self, src_vaddr: int, dst_vaddr: int, nbytes: int):
         """Timed memcpy; the destination stores are snooped, so copying
@@ -168,56 +199,51 @@ class UserProcess:
         Streams chunk by chunk (reading each chunk at its copy time, so
         a consumer copying out of a buffer still being DMA'd into sees
         the freshest bytes), charging read+write per-byte costs per
-        chunk and the two base costs once.
+        chunk and the two base costs once.  Both cache modes are read
+        before the first sleep; each chunk is translated, source then
+        destination, when it is copied.
         """
+        sim = self.sim
+        tracer = self.tracer
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if self.tracer.enabled:  # see write(): traced runs don't merge
-                yield self.sim.timeout_at(self.sim.now + lead)
+            if tracer.enabled:  # see write(): traced runs don't merge
+                yield sim.now + lead
                 lead = 0.0
-        src_mode = self.space.cache_mode_of(src_vaddr)
-        dst_mode = self.space.cache_mode_of(dst_vaddr)
+        space = self.space
+        page_table = space.page_table
+        page_size = self.config.page_size
+        pte = page_table.get(src_vaddr // page_size)
+        src_mode = pte.cache_mode if pte is not None else space.cache_mode_of(src_vaddr)
+        pte = page_table.get(dst_vaddr // page_size)
+        dst_mode = pte.cache_mode if pte is not None else space.cache_mode_of(dst_vaddr)
         read_base, read_pb = self.config.read_rate(src_mode)
         write_base, write_pb = self.config.write_rate(dst_mode)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin(
+        if tracer.enabled:
+            span = tracer.begin(
                 "cpu.copy", "copy %dB" % nbytes, track=self.trace_track,
                 data={"bytes": nbytes},
             )
         chunk_size = self.config.cpu_stream_chunk
-        start = self.sim.now
-        if lead:
-            start = start + lead
+        start = sim.now + lead
         if nbytes <= chunk_size:
             # Single-chunk fast path, bit-exact with the two-sleep form.
-            yield self.sim.timeout_at(
-                (start + (read_base + write_base))
-                + nbytes * (read_pb + write_pb))
+            yield ((start + (read_base + write_base))
+                   + nbytes * (read_pb + write_pb))
+            if nbytes:
+                self._store(dst_vaddr, self.peek(src_vaddr, nbytes))
         else:
-            yield self.sim.timeout_at(start + (read_base + write_base))
-        offset = 0
-        while offset < nbytes:
-            length = min(chunk_size, nbytes - offset)
-            if offset or nbytes > chunk_size:
-                yield self.sim.timeout(length * (read_pb + write_pb))
-            data = b"".join(
-                self.node.memory.read(paddr, seg_len)
-                for paddr, seg_len in self.space.translate(
-                    src_vaddr + offset, length, write=False
-                )
-            )
-            piece = data
-            for paddr, seg_len in self.space.translate(
-                dst_vaddr + offset, length, write=True
-            ):
-                sub = piece[:seg_len]
-                self.node.memory.write(paddr, sub)
-                self.node.nic.snoop_write(paddr, sub)
-                piece = piece[seg_len:]
-            offset += length
-        self.tracer.end(span)
+            yield start + (read_base + write_base)
+            per_byte = read_pb + write_pb
+            for offset in range(0, nbytes, chunk_size):
+                length = min(chunk_size, nbytes - offset)
+                yield sim.now + length * per_byte
+                self._store(dst_vaddr + offset,
+                            self.peek(src_vaddr + offset, length))
+        if span is not None:
+            tracer.end(span)
 
     def compute(self, microseconds: float, priority: Optional[int] = None):
         """Pure CPU time (library bookkeeping, marshaling logic, ...).
@@ -226,33 +252,29 @@ class UserProcess:
         (:meth:`~repro.hardware.node.Node.enable_cpu`), the time is
         charged while holding one CPU slot, so concurrent handlers on
         the node contend in (priority, FIFO) order.  Either condition
-        absent, this is the historical uncontended timeout —
+        absent, this is the historical uncontended sleep —
         byte-identical to the pre-scheduler model.
         """
+        sim = self.sim
         cpu = self.node.cpu
-        if cpu is None or priority is None:
-            lead = self._lead
-            if lead:
-                self._lead = 0.0
-                if self.tracer.enabled:  # see write(): traced, no merge
-                    yield self.sim.timeout_at(self.sim.now + lead)
-                    lead = 0.0
-            start = self.sim.now
-            if lead:
-                start = start + lead
-            yield self.sim.timeout_at(start + microseconds)
-            return
+        contended = cpu is not None and priority is not None
         lead = self._lead
         if lead:
-            # Contended path: pay the deferred charge as its own sleep
-            # (exactly what the caller's separate compute() would have
-            # cost) before queueing for a CPU slot.
             self._lead = 0.0
-            yield self.sim.timeout_at(self.sim.now + lead)
+            if contended or self.tracer.enabled:
+                # Paid as its own sleep: traced runs don't merge (see
+                # write()), and a contended charge is exactly what the
+                # caller's separate compute() cost, before queueing for
+                # a CPU slot.
+                yield sim.now + lead
+                lead = 0.0
+        if not contended:
+            yield (sim.now + lead) + microseconds
+            return
         req = cpu.request(priority)
         yield req
         try:
-            yield self.sim.timeout(microseconds)
+            yield (sim.now + lead) + microseconds
         finally:
             cpu.release(req)
 
@@ -272,21 +294,35 @@ class UserProcess:
         simulated *cost structure* matches polling while the event count
         stays proportional to actual writes (DESIGN.md decision on
         polling).  Returns None if ``deadline`` (absolute sim time)
-        passes first.
+        passes first.  The range is translated once, before the first
+        check.
         """
-        segments = self.space.translate(vaddr, nbytes, write=False)
-        mode = self.space.cache_mode_of(vaddr)
+        space = self.space
+        page_size = self.config.page_size
+        vpage, offset = divmod(vaddr, page_size)
+        pte = space.page_table.get(vpage)
+        if pte is not None and pte.readable and 0 < nbytes <= page_size - offset:
+            segments = [(pte.frame * page_size + offset, nbytes)]
+            mode = pte.cache_mode
+        else:
+            segments = space.translate(vaddr, nbytes, write=False)
+            mode = space.cache_mode_of(vaddr)
         check_cost = (
             self.config.read_cost(mode, nbytes) + self.config.costs.vmmc_poll_check
         )
         memory = self.node.memory
+        if len(segments) == 1:
+            load = partial(memory.read, segments[0][0], nbytes)
+        else:
+            def load():
+                return b"".join(memory.read(p, n) for p, n in segments)
+        sim = self.sim
         lead = self._lead
         if lead:
             self._lead = 0.0
             if self.tracer.enabled:  # see write(): traced runs don't merge
-                yield self.sim.timeout_at(self.sim.now + lead)
+                yield sim.now + lead
                 lead = 0.0
-        sim = self.sim
         charged = False
         while True:
             self.poll_checks += 1
@@ -298,18 +334,16 @@ class UserProcess:
                 )
             if charged:
                 charged = False  # the watch wake already carried the charge
-            elif lead:
-                yield sim.timeout_at((sim.now + lead) + check_cost)
-                lead = 0.0
             else:
-                yield sim.timeout(check_cost)
-            data = b"".join(memory.read(paddr, length) for paddr, length in segments)
+                yield (sim.now + lead) + check_cost
+                lead = 0.0
+            data = load()
             hit = predicate(data)
             if span is not None:
                 self.tracer.end(span, data={"hit": hit})
             if hit:
                 return data
-            if deadline is not None and self.sim.now >= deadline:
+            if deadline is not None and sim.now >= deadline:
                 return None
             woke = Event(sim, name="poll-wake")
             dl_handle = None
@@ -357,7 +391,7 @@ class UserProcess:
                     wait = woke
             # Re-check once before sleeping: a write may have landed
             # between our read above and the watch registration.
-            data = b"".join(memory.read(paddr, length) for paddr, length in segments)
+            data = load()
             if predicate(data):
                 for watch in watches:
                     memory.remove_watch(watch)
@@ -398,7 +432,7 @@ class UserProcess:
         lead = self._lead
         if lead:
             self._lead = 0.0
-            yield sim.timeout_at(sim.now + lead)
+            yield sim.now + lead
         memory = self.node.memory
         woke = Event(sim, name="wait-any")
 
@@ -420,14 +454,21 @@ class UserProcess:
                     return False
         for watch in watches:
             memory.remove_watch(watch)
-        yield sim.timeout(self.config.costs.vmmc_poll_check)
+        yield sim.now + self.config.costs.vmmc_poll_check
         return True
 
     # -- zero-cost debug access -----------------------------------------------------
     def peek(self, vaddr: int, nbytes: int) -> bytes:
-        """Untimed read for test assertions."""
+        """Untimed read, translated now (test assertions, flag peeks,
+        and the load half of :meth:`copy`)."""
+        page_size = self.config.page_size
+        vpage, offset = divmod(vaddr, page_size)
+        pte = self.space.page_table.get(vpage)
+        if pte is not None and pte.readable and 0 < nbytes <= page_size - offset:
+            return self.node.memory.read(pte.frame * page_size + offset, nbytes)
+        memory = self.node.memory
         segments = self.space.translate(vaddr, nbytes, write=False)
-        return b"".join(self.node.memory.read(p, length) for p, length in segments)
+        return b"".join(memory.read(p, length) for p, length in segments)
 
     def poke(self, vaddr: int, data: bytes) -> None:
         """Untimed, un-snooped write for test setup."""

@@ -22,8 +22,7 @@ buffers for each pair of processes').
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...hardware.config import CacheMode

@@ -27,8 +27,8 @@ message payload travels by AU or DU according to the library variant.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Deque, List
+from dataclasses import dataclass
+from typing import Deque
 from collections import deque
 
 from ...hardware.config import CacheMode

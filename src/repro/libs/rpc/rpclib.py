@@ -11,7 +11,7 @@ the specialized SHRIMP RPC avoids, Figure 8.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .xdr import XdrDecoder, XdrEncoder, XdrError

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ...hardware.config import CacheMode
 from ...kernel.process import UserProcess
@@ -32,7 +32,7 @@ from .rpclib import (
     SUCCESS,
     SYSTEM_ERR,
 )
-from .stream import STREAM_CTRL_BYTES, VrpcStream
+from .stream import VrpcStream
 from .xdr import XdrDecoder, XdrEncoder
 
 __all__ = ["VrpcServer", "VrpcClient", "clnt_create", "RpcFault", "RpcTimeout"]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ...hardware.config import CacheMode
 from ...kernel.process import UserProcess
@@ -303,7 +303,12 @@ class ShrimpSocket:
                 data={"bytes": nbytes},
             )
         try:
-            yield from self.proc.compute(costs.socket_send_overhead)
+            if nbytes > 0:
+                # Folds into the first consumed-counter read (only pure
+                # code runs in between); an empty send has no such read.
+                self.proc.charge(costs.socket_send_overhead)
+            else:
+                yield from self.proc.compute(costs.socket_send_overhead)
             sent = 0
             max_record = self.out_ring.capacity // 4
             while sent < nbytes:
@@ -318,7 +323,8 @@ class ShrimpSocket:
             self.bytes_sent += nbytes
         finally:
             # finally: fault-raised timeouts must not leak an open span.
-            self.proc.tracer.end(span)
+            if span is not None:
+                self.proc.tracer.end(span)
         return nbytes
 
     def _send_record(self, vaddr: int, payload: int):
@@ -431,7 +437,7 @@ class ShrimpSocket:
                             pad_word(tail), offset=seg.ring_offset + whole,
                         )
                     cursor += seg.length
-        yield from proc.compute(proc.config.costs.socket_space_update)
+        proc.charge(proc.config.costs.socket_space_update)
         yield from proc.write(self.au_ctrl_out + _PRODUCED_OFF, _u32(produced))
 
     def _refresh_consumed(self):
@@ -468,7 +474,8 @@ class ShrimpSocket:
                 track=self.proc.trace_track,
             )
         try:
-            yield from self.proc.compute(costs.socket_recv_overhead)
+            # Folds into the produced-counter read that always follows.
+            self.proc.charge(costs.socket_recv_overhead)
             while True:
                 yield from self._refresh_produced()
                 if self.in_ring.used > 0:
@@ -483,7 +490,8 @@ class ShrimpSocket:
                 got += yield from self._read_from_current_record(
                     vaddr + got, max_bytes - got)
             self.bytes_received += got
-            self.proc.tracer.end(span, data={"bytes": got} if span else None)
+            if span is not None:
+                self.proc.tracer.end(span, data={"bytes": got})
             return got
         finally:
             # Fault-raised timeouts exit with the span still open; the
@@ -576,7 +584,7 @@ class ShrimpSocket:
         if self._partial >= payload:
             self._partial = 0
             consumed = ring.consume_record(payload)
-            yield from proc.compute(proc.config.costs.socket_space_update)
+            proc.charge(proc.config.costs.socket_space_update)
             yield from proc.write(self.au_ctrl_out + _CONSUMED_OFF, _u32(consumed))
         return copied
 

@@ -131,7 +131,7 @@ class Event:
             # Inlined sim.schedule_call(0.0, cb, self, priority=URGENT):
             # triggering is the single hottest scheduling producer.
             sim = self.sim
-            now = sim._now
+            now = sim.now
             heap = sim._heap
             seq = sim._seq
             for callback in callbacks:
@@ -175,7 +175,7 @@ class Event:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap,
-                 (sim._now + delay, NORMAL, seq, self._fire_now, (value,)))
+                 (sim.now + delay, NORMAL, seq, self._fire_now, (value,)))
         return self
 
     def _fire_now(self, value: Any) -> None:
@@ -220,12 +220,10 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 _at: Optional[float] = None):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError("timeout delay must be >= 0, got %r" % (delay,))
-        # Flattened Event.__init__ + sim.schedule_call: one of these is
-        # created for nearly every yield in the model, so the two extra
+        # Flattened Event.__init__ + sim.schedule_call: the two extra
         # frames were measurable at workload scale.
         self.sim = sim
         self._name = ""
@@ -236,8 +234,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now + delay if _at is None else _at,
-                             NORMAL, seq, self._fire, (value,)))
+        heappush(sim._heap, (sim.now + delay, NORMAL, seq, self._fire, (value,)))
 
     def _label(self) -> str:
         return "Timeout(%g)" % self.delay
@@ -367,16 +364,14 @@ class Simulator:
     """
 
     def __init__(self):
-        self._now = 0.0
+        #: Current simulated time in microseconds.  A plain attribute
+        #: rather than a property, because nearly every step reads it;
+        #: only the event loop assigns it.
+        self.now = 0.0
         self._heap: List[Tuple[float, int, int, Callable, tuple]] = []
         self._seq = 0
         self._running = False
         self.events_executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
 
     # -- scheduling ------------------------------------------------------
     def schedule_call(
@@ -390,7 +385,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past (delay=%r)" % (delay,))
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, priority, seq, fn, args))
+        heappush(self._heap, (self.now + delay, priority, seq, fn, args))
 
     def schedule_at(
         self,
@@ -401,13 +396,13 @@ class Simulator:
     ) -> None:
         """Schedule ``fn(*args)`` at the *absolute* time ``time``.
 
-        The callback twin of :meth:`timeout_at`: the deadline float is
+        The callback twin of a process's plain sleep: the deadline float is
         used verbatim, so a merged ``(now + a) + b`` deadline lands on
         the bit-exact instant the two-step version would have.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError("cannot schedule in the past (time=%r, now=%r)"
-                             % (time, self._now))
+                             % (time, self.now))
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, priority, seq, fn, args))
 
@@ -418,17 +413,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds ``delay`` microseconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_at(self, time: float, value: Any = None) -> Timeout:
-        """Create an event that succeeds at the *absolute* time ``time``.
-
-        Equivalent to ``timeout(time - now)`` except the deadline float
-        is used verbatim — model code coalescing consecutive sleeps
-        (``t = (now + a) + b``) lands on the bit-exact instant the
-        two-sleep version would have, keeping reports byte-identical
-        while halving the wake count (see docs/SIMULATOR.md).
-        """
-        return Timeout(self, time - self._now, value, _at=time)
 
     def any_of(self, events: List[Event]) -> AnyOf:
         """Composite event: first child to trigger wins."""
@@ -444,7 +428,7 @@ class Simulator:
         if not self._heap:
             raise SimulationError("no more events to run")
         time, _priority, _seq, fn, args = heappop(self._heap)
-        self._now = time
+        self.now = time
         self.events_executed += 1
         fn(*args)
 
@@ -472,16 +456,16 @@ class Simulator:
             if until is None:
                 while heap:
                     entry = pop(heap)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
             else:
                 while heap:
                     if heap[0][0] > until:
-                        self._now = until
+                        self.now = until
                         break
                     entry = pop(heap)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     executed += 1
                     entry[3](*entry[4])
             return None

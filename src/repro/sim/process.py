@@ -4,7 +4,10 @@ A simulation *process* is a Python generator that yields :class:`Event`
 objects (or other processes — a :class:`Process` is itself an event that
 triggers on completion).  Yielding suspends the process until the event
 triggers; the event's value is sent back into the generator, and a failed
-event has its exception thrown in.
+event has its exception thrown in.  A process may also yield a plain
+``float``: an absolute deadline to sleep until, which costs one scheduler
+entry and no :class:`Event` (the model's own timed operations sleep this
+way; see docs/SIMULATOR.md, "Plain sleeps").
 
 This is the execution model for the software side of the SHRIMP model:
 user programs, the SHRIMP daemons, and the benchmark harnesses (the
@@ -17,9 +20,10 @@ structure: the library code literally executes on the application process.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
-from .core import URGENT, Event, SimulationError, Simulator, Timeout
+from .core import NORMAL, URGENT, Event, SimulationError, Simulator, Timeout
 
 __all__ = ["Interrupt", "Process", "spawn"]
 
@@ -45,7 +49,7 @@ class Process(Event):
     waiters is re-raised out of the event loop so bugs never pass silently.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_interrupts")
+    __slots__ = ("_generator", "_waiting_on", "_sleep", "_interrupts")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
@@ -56,6 +60,9 @@ class Process(Event):
             )
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        # The seq of the pending plain sleep's heap entry, 0 when none:
+        # an entry whose seq no longer matches is stale and ignored.
+        self._sleep = 0
         self._interrupts: list = []
         # Kick off on the event loop (not synchronously) for determinism.
         sim.schedule_call(0.0, self._resume, None)
@@ -81,6 +88,7 @@ class Process(Event):
         if self.triggered or not self._interrupts:
             return
         cause = self._interrupts.pop(0)
+        self._sleep = 0
         waited = self._waiting_on
         if waited is not None:
             self._waiting_on = None
@@ -93,6 +101,13 @@ class Process(Event):
     # -- generator driving -------------------------------------------------
     def _resume(self, send_value: Any) -> None:
         self._advance(send_value)
+
+    def _wake(self, seq: int) -> None:
+        # Dispatch of a plain sleep's entry; skipped once an interrupt
+        # has cancelled the sleep it belongs to.
+        if self._sleep == seq:
+            self._sleep = 0
+            self._advance(None)
 
     def _event_done(self, event: Event) -> None:
         if self._waiting_on is not event:
@@ -118,10 +133,25 @@ class Process(Event):
         except BaseException as exc:
             self._crash(exc)
             return
+        if target.__class__ is float:
+            # A plain sleep: the entry is pushed exactly where a
+            # Timeout's would be, with the same (time, priority, seq),
+            # and its dispatch resumes the process directly.
+            sim = self.sim
+            if target < sim.now:
+                self._advance(ValueError(
+                    "sleep deadline %r is before now (%r)" % (target, sim.now)),
+                    throwing=True)
+                return
+            sim._seq = seq = sim._seq + 1
+            self._sleep = seq
+            heappush(sim._heap, (target, NORMAL, seq, self._wake, (seq,)))
+            return
         if target.__class__ is not Timeout and not isinstance(target, Event):
             exc = TypeError(
                 "process %r yielded %r; processes must yield Event objects "
-                "(Timeout, Event, Process, resource requests, ...)" % (self.name, target)
+                "(Timeout, Event, Process, resource requests, ...) or a float "
+                "deadline" % (self.name, target)
             )
             self._generator.close()
             self._crash(exc)

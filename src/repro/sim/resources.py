@@ -230,7 +230,7 @@ class Store:
         return item
 
     def _account(self) -> None:
-        now = self.sim._now
+        now = self.sim.now
         self._occupancy_integral += len(self._items) * (now - self._occupancy_since)
         self._occupancy_since = now
 

@@ -21,7 +21,7 @@ mask changes do.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 import zlib
 
@@ -30,6 +30,7 @@ from ..hardware.router.packet import READ_REPLY_HEADER, encode_read_request
 from ..kernel.daemon import AutomaticBinding, ImportedBuffer, ShrimpDaemon
 from ..kernel.process import UserProcess
 from ..kernel.system import ShrimpSystem
+from ..kernel.vm import ProtectionFault
 from .buffers import ExportedBuffer, NotificationHandler
 from .errors import (VmmcAlignmentError, VmmcReadTimeoutError,
                      VmmcStateError, VmmcTransferError)
@@ -176,21 +177,35 @@ class VmmcEndpoint:
                 % (nbytes, offset, imported.nbytes)
             )
         # User-level bookkeeping, then the two decoded EISA accesses of
-        # the transfer-initiation sequence.
-        costs = self.proc.config.costs
-        tracer = self.proc.tracer
+        # the transfer-initiation sequence: one sleep to the two-sleep
+        # deadline (now + call) + pio, the source translated at its
+        # start.  A source fault still surfaces at now + call, and
+        # traced runs keep both sleeps, as UserProcess.charge does.
+        proc = self.proc
+        sim = proc.sim
+        eisa = proc.node.eisa
+        tracer = proc.tracer
+        traced = tracer.enabled
         span = None
-        if tracer.enabled:
+        if traced:
             span = tracer.begin(
-                "vmmc.send", "send %dB" % nbytes, track=self.proc.trace_track,
+                "vmmc.send", "send %dB" % nbytes, track=proc.trace_track,
                 data={"bytes": nbytes},
             )
         try:
-            yield self.proc.sim.timeout(costs.vmmc_send_call)
-            segments = self.proc.space.translate(local_vaddr, nbytes,
-                                                 write=False)
-            yield self.proc.sim.timeout(self.proc.node.eisa.pio_cost(2))
-            done = self.proc.node.nic.initiate_deliberate_update(
+            called = sim.now + proc.config.costs.vmmc_send_call
+            if traced:
+                yield called
+            try:
+                segments = proc.space.translate(local_vaddr, nbytes,
+                                                write=False)
+            except ProtectionFault:
+                if not traced:
+                    yield called
+                raise
+            yield called + eisa.pio_time(2)
+            eisa.pio_accesses += 2
+            done = proc.node.nic.initiate_deliberate_update(
                 src_segments=segments,
                 opt_base=imported.opt_base,
                 offset=offset,
@@ -204,7 +219,8 @@ class VmmcEndpoint:
             # finally: a hardened caller catches fault-raised timeouts
             # and retries; the abandoned attempt must still close its
             # span or the span-balance audit flags a leak.
-            tracer.end(span)
+            if span is not None:
+                tracer.end(span)
 
     def send_nonblocking(
         self,
@@ -320,8 +336,9 @@ class VmmcEndpoint:
                 "vmmc.read", "read %dB" % nbytes,
                 track=self.proc.trace_track, data=data,
             )
+        sim = self.proc.sim
         try:
-            yield self.proc.sim.timeout(costs.vmmc_send_call)
+            yield sim.now + costs.vmmc_send_call
             self._read_seq += 1
             seq = self._read_seq
             ctx = self.proc.trace_ctx if span is not None else None
@@ -333,10 +350,10 @@ class VmmcEndpoint:
             # The initiation sequence: two programmed-I/O accesses — a
             # doorbell write of the descriptor's address plus the status
             # read-back — and the NIC fetches the descriptor by DMA.
-            yield self.proc.sim.timeout(self.proc.node.eisa.pio_cost(2))
+            yield sim.now + self.proc.node.eisa.pio_cost(2)
             self.proc.node.nic.packetizer.request_emit(
                 imported.remote_node, descriptor)
-            deadline = self.proc.sim.now + timeout_us
+            deadline = sim.now + timeout_us
 
             def _completed(stamp: bytes) -> bool:
                 return READ_REPLY_HEADER.unpack(stamp)[0] == seq

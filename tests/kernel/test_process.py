@@ -153,3 +153,171 @@ def test_processes_get_distinct_pids():
     a = system.kernels[0].create_process()
     b = system.kernels[0].create_process()
     assert a.pid != b.pid
+
+
+# -- one-page accesses --------------------------------------------------------
+# A range inside one page is translated with one page-table lookup; a
+# fault or a straddling range takes AddressSpace.translate.  These pin
+# the instants and bytes of both against the cost model.
+
+def _faulting(op, setup_flags):
+    """Run ``op(proc, vaddr, other)`` with ``vaddr`` on a page set up
+    by ``setup_flags`` and ``other`` on a plain write-through page;
+    returns (start instant, fault instant), the latter None when the op
+    did not fault."""
+    def program(proc):
+        space = proc.space
+        other = space.mmap(PAGE, cache_mode=CacheMode.WRITE_THROUGH)
+        if setup_flags == "unmapped":
+            vaddr = (space.BASE_PAGE - 1) * PAGE  # below the first mapping
+        else:
+            vaddr = space.mmap(PAGE, cache_mode=CacheMode.WRITE_BACK)
+            readable, writable = {"read-only": (True, False),
+                                  "unreadable": (False, False)}[setup_flags]
+            space.protect(vaddr, PAGE, readable=readable, writable=writable)
+        yield from proc.compute(3.0)
+        start = proc.sim.now
+        try:
+            yield from op(proc, vaddr + 8, other + 8)
+        except ProtectionFault:
+            return start, proc.sim.now
+        return start, None
+
+    return run_program(program)
+
+
+def _write_end(config, start, mode, n):
+    base, per_byte = config.write_rate(mode)
+    return (start + base) + n * per_byte
+
+
+def _copy_end(config, start, src_mode, dst_mode, n):
+    read_base, read_pb = config.read_rate(src_mode)
+    write_base, write_pb = config.write_rate(dst_mode)
+    return (start + (read_base + write_base)) + n * (read_pb + write_pb)
+
+
+OPS = {
+    "read": lambda proc, vaddr, other: proc.read(vaddr, 16),
+    "write": lambda proc, vaddr, other: proc.write(vaddr, b"x" * 16),
+    "copy from": lambda proc, vaddr, other: proc.copy(vaddr, other, 16),
+    "copy into": lambda proc, vaddr, other: proc.copy(other, vaddr, 16),
+    "poll": lambda proc, vaddr, other: proc.poll(vaddr, 4, lambda b: True),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_unmapped_one_page_access_faults_before_the_sleep(op):
+    start, faulted = _faulting(OPS[op], "unmapped")
+    assert faulted == start
+
+
+@pytest.mark.parametrize("op", ["read", "poll"])
+def test_unreadable_page_faults_a_load_before_the_sleep(op):
+    start, faulted = _faulting(OPS[op], "unreadable")
+    assert faulted == start
+
+
+def test_read_only_page_faults_a_store_after_the_sleep():
+    config = ShrimpSystem().config
+    start, faulted = _faulting(OPS["write"], "read-only")
+    assert faulted == _write_end(config, start, CacheMode.WRITE_BACK, 16)
+
+
+@pytest.mark.parametrize("op,flags", [("copy into", "read-only"),
+                                      ("copy from", "unreadable")])
+def test_copy_faults_on_permissions_after_the_sleep(op, flags):
+    config = ShrimpSystem().config
+    start, faulted = _faulting(OPS[op], flags)
+    src, dst = ((CacheMode.WRITE_THROUGH, CacheMode.WRITE_BACK)
+                if op == "copy into"
+                else (CacheMode.WRITE_BACK, CacheMode.WRITE_THROUGH))
+    assert faulted == _copy_end(config, start, src, dst, 16)
+
+
+@pytest.mark.parametrize("offset", [8, PAGE - 100], ids=["one-page", "straddling"])
+def test_write_read_copy_bytes_and_end_times(offset):
+    """The same bytes and deadlines inside one page and across two."""
+    payload = bytes(range(200))
+
+    def program(proc):
+        src = proc.space.mmap(2 * PAGE, cache_mode=CacheMode.WRITE_THROUGH)
+        dst = proc.space.mmap(2 * PAGE, cache_mode=CacheMode.WRITE_BACK)
+        ends = {}
+        start = proc.sim.now
+        yield from proc.write(src + offset, payload)
+        ends["write"] = (start, proc.sim.now)
+        start = proc.sim.now
+        yield from proc.copy(src + offset, dst + offset, len(payload))
+        ends["copy"] = (start, proc.sim.now)
+        start = proc.sim.now
+        data = yield from proc.read(dst + offset, len(payload))
+        ends["read"] = (start, proc.sim.now)
+        return data, proc.peek(src + offset, len(payload)), ends
+
+    config = ShrimpSystem().config
+    data, written, ends = run_program(program)
+    assert data == written == payload
+    n = len(payload)
+    start, end = ends["write"]
+    assert end == _write_end(config, start, CacheMode.WRITE_THROUGH, n)
+    start, end = ends["copy"]
+    assert end == _copy_end(config, start, CacheMode.WRITE_THROUGH,
+                            CacheMode.WRITE_BACK, n)
+    start, end = ends["read"]
+    assert end == start + config.read_cost(CacheMode.WRITE_BACK, n)
+
+
+#: Measured on the general translate path before the one-page paths
+#: existed: (sender bytes read, written; receiver bytes read, written;
+#: snoop writes seen, matched; AU packets formed) and (receiver wake
+#: instant, its poll checks, events dispatched).
+AU_EXCHANGE_COUNTERS = (80, 168, 92, 88, 3, 4, 3)
+AU_EXCHANGE_WAKE = (1101.0676554765994, 2, 44)
+
+
+def test_au_exchange_counters():
+    """Memory, snoop and poll counters of a small automatic-update
+    exchange: one-page and straddling stores into a two-page binding,
+    a copy through it, and a receiver polling the flag word."""
+    from repro.testbed import Rendezvous
+    from repro.vmmc import attach
+
+    system = ShrimpSystem()
+    rdv = Rendezvous(system)
+
+    def receiver(proc):
+        ep = attach(system, proc)
+        buf = yield from ep.export_new(2 * PAGE)
+        rdv.put("x", (proc.node.node_id, buf.export_id))
+        yield from proc.poll(buf.vaddr + 2 * PAGE - 4, 4,
+                             lambda b: b == b"END!")
+        return ((proc.sim.now, proc.poll_checks),
+                proc.peek(buf.vaddr + PAGE - 40, 80))
+
+    def sender(proc):
+        ep = attach(system, proc)
+        node, xid = yield rdv.get("x")
+        imported = yield from ep.import_buffer(node, xid)
+        local = ep.alloc_buffer(2 * PAGE)
+        staging = proc.space.mmap(PAGE)
+        yield from ep.bind(local, imported)
+        yield from proc.write(local, b"head")
+        proc.poke(staging, bytes(range(80)))
+        yield from proc.copy(staging, local + PAGE - 40, 80)
+        yield from proc.write(local + 2 * PAGE - 4, b"END!")
+
+    r = system.spawn(1, receiver)
+    s = system.spawn(0, sender)
+    system.run_processes([r, s])
+    woke, landed = r.value
+    assert landed == bytes(range(80))
+    sent, got = system.machine.nodes[0], system.machine.nodes[1]
+    counters = (
+        sent.memory.bytes_read, sent.memory.bytes_written,
+        got.memory.bytes_read, got.memory.bytes_written,
+        sent.nic.snoop.writes_seen, sent.nic.snoop.writes_matched,
+        sent.nic.packetizer.packets_formed,
+    )
+    assert counters == AU_EXCHANGE_COUNTERS
+    assert woke + (system.sim.events_executed,) == AU_EXCHANGE_WAKE

@@ -13,6 +13,10 @@ Regenerate only for an intended timing change, and say so in the
 commit::
 
     PYTHONPATH=src python -m tests.libs.test_hardened_goldens
+
+A merged wake (two sleeps folded into one scheduler entry at the same
+instant, docs/SIMULATOR.md) may move only the ``events=`` counts; any
+other line that changes is a change in what the protocols did.
 """
 
 import pathlib

@@ -200,3 +200,135 @@ def test_many_processes_interleave_deterministically():
         (3.0, "a"),
         (4.5, "b"),
     ]
+
+
+# -- plain sleeps ---------------------------------------------------------------
+# A process may yield a float: an absolute deadline, slept with one
+# heap entry and no Event.
+
+def test_plain_sleep_resumes_at_its_deadline():
+    sim = Simulator()
+
+    def worker():
+        yield 2.5
+        first = sim.now
+        yield sim.now + 1.0
+        return first, sim.now
+
+    proc = spawn(sim, worker())
+    sim.run()
+    assert proc.value == (2.5, 3.5)
+    # Two sleeps and the start: one dispatch each.
+    assert sim.events_executed == 3
+
+
+def test_interrupt_cancels_a_plain_sleep():
+    """Interrupted mid-sleep, the process resumes once, with Interrupt;
+    the sleep's heap entry still dispatches at its deadline and is
+    ignored."""
+    sim = Simulator()
+    resumed = []
+
+    def sleeper():
+        try:
+            yield 10.0
+            resumed.append(("woke", sim.now))
+        except Interrupt as intr:
+            resumed.append(("interrupt", intr.cause, sim.now))
+        yield sim.timeout(40.0)  # an event wait across the stale entry at t=10
+        resumed.append(("after", sim.now))
+
+    proc = spawn(sim, sleeper())
+    sim.schedule_call(1.0, proc.interrupt, "signal")
+    sim.run()
+    assert resumed == [("interrupt", "signal", 1.0), ("after", 41.0)]
+    # start, interrupt, its delivery, the stale entry, the timeout
+    assert sim.events_executed == 5
+
+
+@pytest.mark.parametrize("sleep", ["deadline", "timeout"])
+def test_sleeping_into_the_past_fails_the_process(sleep):
+    """A deadline before now fails the process as a negative timeout()
+    does: a ValueError at the sleep, which a waiter receives."""
+    sim = Simulator()
+
+    def child():
+        yield 5.0
+        if sleep == "deadline":
+            yield 2.0
+        else:
+            yield sim.timeout(-3.0)
+
+    def parent():
+        try:
+            yield spawn(sim, child())
+        except ValueError:
+            return ("failed", sim.now)
+
+    proc = spawn(sim, parent())
+    sim.run()
+    assert proc.value == ("failed", 5.0)
+
+
+@pytest.mark.parametrize("sleep", ["deadline", "timeout"])
+def test_sleep_into_the_past_can_be_caught_at_the_sleep(sleep):
+    sim = Simulator()
+
+    def worker():
+        yield 5.0
+        try:
+            if sleep == "deadline":
+                yield 2.0
+            else:
+                yield sim.timeout(-3.0)
+        except ValueError:
+            return "caught"
+
+    proc = spawn(sim, worker())
+    sim.run()
+    assert proc.value == "caught"
+
+
+def test_sleeping_into_the_past_without_a_waiter_surfaces():
+    sim = Simulator()
+
+    def worker():
+        yield 5.0
+        yield 2.0
+
+    spawn(sim, worker())
+    with pytest.raises(ValueError, match="before now"):
+        sim.run()
+
+
+@pytest.mark.parametrize("kinds", ["sleep-first", "timeout-first"])
+def test_plain_sleep_and_timeout_at_one_deadline_resume_in_push_order(kinds):
+    sim = Simulator()
+    order = []
+
+    def worker(name, plain):
+        if plain:
+            yield 4.0
+        else:
+            yield sim.timeout(4.0)
+        order.append(name)
+
+    plain_first = kinds == "sleep-first"
+    for i in range(4):
+        plain = (i % 2 == 0) == plain_first
+        spawn(sim, worker("%s%d" % ("sleep" if plain else "timeout", i), plain))
+    sim.run()
+    expected = ["sleep0", "timeout1", "sleep2", "timeout3"] if plain_first \
+        else ["timeout0", "sleep1", "timeout2", "sleep3"]
+    assert order == expected
+
+
+def test_yielding_an_int_deadline_is_still_an_error():
+    sim = Simulator()
+
+    def worker():
+        yield 4  # deadlines are floats; an int is not an event
+
+    spawn(sim, worker())
+    with pytest.raises(TypeError):
+        sim.run()
