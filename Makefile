@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json bench-sim-json record-replay-demo profile-demo clean
+.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json record-replay-demo profile-demo clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -73,12 +73,6 @@ onesided-demo:
 # goodput: report lines and the conservation invariant.
 overload-demo:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro workload --seed 11 --requests 2000 --concurrency 16 --load 80000 --cpu-slots 1 --cpu-op-us 50 --slo-latency 1000 --admission --admit-queue 8 --admit-deadline 400 --retry-budget 1 --retry-base 50 --backpressure
-
-# Engine-speed artifact (docs/SIMULATOR.md): raw dispatch events/sec
-# plus capacity-workload wall time, with seed-engine baselines and the
-# measurement methodology embedded.  QUICK=--quick for a CI smoke pass.
-bench-sim-json:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.bench.simspeed --json BENCH_sim.json $${QUICK:-}
 
 # The runnable examples from docs/WORKLOADS.md "Record & replay", at
 # doc-exact arguments: freeze a stream, replay it verbatim, then a

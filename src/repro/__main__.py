@@ -1,8 +1,7 @@
 """Command-line interface: regenerate the paper's results from a shell.
 
-    python -m repro scalars          # the headline scalar table
+    python -m repro scalars          # the paper-vs-measured table
     python -m repro fig3|fig4|fig5|fig7|fig8
-    python -m repro ttcp
     python -m repro budget           # analytic one-word latency budgets
     python -m repro trace            # traced one-word journey + Chrome JSON
     python -m repro faults --seed N  # replay a seeded fault schedule
@@ -37,41 +36,11 @@ from .bench import (
     figure5_vrpc,
     figure7_sockets,
     figure8_rpc_comparison,
-    headline_scalars,
-    ttcp_results,
+    paper_table,
 )
 from .bench.capacity import MITIGATIONS
 from .hardware.config import CacheMode
 from .workload import WorkloadSpec
-
-_PAPER_SCALARS = {
-    "au_word_wt_us": ("AU one-word latency, write-through (us)", 4.75),
-    "au_word_uncached_us": ("AU one-word latency, uncached (us)", 3.7),
-    "du_word_us": ("DU one-word latency (us)", 7.6),
-    "du_0copy_peak_mb_s": ("DU-0copy peak bandwidth (MB/s)", 23.0),
-    "nx_small_au_us": ("NX small-message latency (us)", None),
-    "raw_small_au_us": ("raw AU small-message latency (us)", None),
-    "socket_small_au_us": ("socket small-message latency (us)", None),
-    "vrpc_null_rtt_us": ("VRPC null round trip (us)", 29.0),
-    "srpc_null_inout_rtt_us": ("SHRIMP RPC null+INOUT round trip (us)", 9.5),
-}
-
-
-def _cmd_scalars() -> None:
-    measured = headline_scalars()
-    rows = [["scalar", "paper", "measured"]]
-    for key, value in measured.items():
-        label, paper = _PAPER_SCALARS.get(key, (key, None))
-        rows.append([label, "%.2f" % paper if paper else "-", "%.2f" % value])
-    print("\n".join(format_table(rows)))
-
-
-def _cmd_ttcp() -> None:
-    results = ttcp_results()
-    rows = [["measurement", "MB/s"]]
-    for key, value in results.items():
-        rows.append([key, "%.2f" % value])
-    print("\n".join(format_table(rows)))
 
 
 def _cmd_budget() -> None:
@@ -755,7 +724,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    for name in sorted(_FIGURES) + ["scalars", "ttcp", "budget", "all"]:
+    for name in sorted(_FIGURES) + ["scalars", "budget", "all"]:
         sub.add_parser(name, help="run the %r experiment" % name)
     faults = sub.add_parser(
         "faults",
@@ -964,20 +933,16 @@ def main(argv=None) -> int:
     if args.command in _FIGURES:
         print(_FIGURES[args.command]().report())
     elif args.command == "scalars":
-        _cmd_scalars()
-    elif args.command == "ttcp":
-        _cmd_ttcp()
+        print(paper_table())
     elif args.command == "budget":
         _cmd_budget()
     else:  # all
         _cmd_budget()
         print()
-        _cmd_scalars()
-        print()
+        print(paper_table())
         for name in sorted(_FIGURES):
-            print(_FIGURES[name]().report())
             print()
-        _cmd_ttcp()
+            print(_FIGURES[name]().report())
     return 0
 
 

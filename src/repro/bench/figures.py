@@ -9,9 +9,10 @@ crossovers are) are asserted by ``benchmarks/``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..hardware.config import CacheMode, MachineConfig
+from ..analysis import format_table
+from ..hardware.config import CacheMode
 from .libraries import (
     nx_pingpong,
     socket_oneway,
@@ -32,11 +33,35 @@ __all__ = [
     "figure8_rpc_comparison",
     "ttcp_results",
     "headline_scalars",
+    "PAPER_TABLE",
+    "paper_ladder",
+    "paper_table",
 ]
 
 # The paper's x-axes: latency up to 64 B, bandwidth up to 10 KB.
 LATENCY_SIZES = (4, 8, 16, 32, 48, 64)
 BANDWIDTH_SIZES = (256, 1024, 2048, 4096, 7168, 10240)
+
+#: Every number of the paper's text the reproduction is compared with,
+#: each once, in the paper's section order: (key of :func:`paper_ladder`,
+#: row label, paper value).  The first four are the hardware anchors
+#: docs/CALIBRATION.md tunes the model on.
+PAPER_TABLE: Tuple[Tuple[str, str, float], ...] = (
+    ("au_word_wt_us", "AU one-word latency, write-through (us)", 4.75),
+    ("au_word_uncached_us", "AU one-word latency, uncached (us)", 3.7),
+    ("du_word_us", "DU one-word latency (us)", 7.6),
+    ("du_0copy_peak_mb_s", "DU-0copy peak bandwidth (MB/s)", 23.0),
+    ("nx_overhead_us", "NX small-message overhead over raw (us)", 6.0),
+    ("vrpc_null_rtt_us", "VRPC null round trip (us)", 29.0),
+    ("socket_overhead_us", "socket small-message overhead over raw (us)",
+     13.0),
+    ("ttcp_7k_mb_s", "ttcp @ 7 KB (MB/s)", 8.6),
+    ("micro_7k_mb_s", "microbenchmark @ 7 KB (MB/s)", 9.8),
+    ("ttcp_70b_mb_s", "ttcp @ 70 B (MB/s)", 1.3),
+    ("srpc_null_inout_rtt_us", "SHRIMP RPC null round trip (us)", 9.5),
+)
+#: The table's paper values by key.
+PAPER: Dict[str, float] = {key: value for key, _, value in PAPER_TABLE}
 
 
 def _sweep(series: FigureSeries, sizes: Sequence[int], measure) -> FigureSeries:
@@ -62,11 +87,14 @@ def figure3_raw_vmmc(sizes: Optional[Sequence[int]] = None,
         result.series.append(series)
     result.notes.append(
         "one-word AU latency: %.2f us write-through / %.2f us uncached "
-        "(paper: 4.75 / 3.7); one-word DU: %.2f us (paper: 7.6)"
+        "(paper: %g / %g); one-word DU: %.2f us (paper: %g)"
         % (
             one_word_latency(True, CacheMode.WRITE_THROUGH),
             one_word_latency(True, CacheMode.UNCACHED),
+            PAPER["au_word_wt_us"],
+            PAPER["au_word_uncached_us"],
             one_word_latency(False, CacheMode.WRITE_THROUGH),
+            PAPER["du_word_us"],
         )
     )
     return result
@@ -155,12 +183,13 @@ def figure8_rpc_comparison(sizes: Optional[Sequence[int]] = None,
 def ttcp_results() -> Dict[str, float]:
     """Section 4.3's ttcp paragraph: one-way socket bandwidth.
 
-    Returns MB/s for: ttcp at 7 KB, the bare microbenchmark at 7 KB,
-    and ttcp at 70 B (the paper: 8.6, 9.8, and 1.3 — 'higher than
-    Ethernet's peak bandwidth').
+    Returns MB/s for ttcp at 7 KB, the bare microbenchmark at 7 KB,
+    ttcp at 70 B, and Ethernet's peak, which the paper's 70 B figure
+    tops ('higher than Ethernet's peak bandwidth').  The paper's values
+    are in :data:`PAPER_TABLE`.
     """
     # ttcp does malloc'd-buffer bookkeeping around every write; the bare
-    # microbenchmark does not — that's the 8.6 vs 9.8 gap.
+    # microbenchmark does not — that's the ttcp vs microbenchmark gap.
     ttcp_overhead = 32.0
     return {
         "ttcp_7k_mb_s": socket_oneway("DU-1copy", 7168,
@@ -189,3 +218,35 @@ def headline_scalars() -> Dict[str, float]:
         "vrpc_null_rtt_us": vrpc_pingpong(0, automatic=True),
         "srpc_null_inout_rtt_us": srpc_inout_rtt(0),
     }
+
+
+def paper_ladder() -> Dict[str, float]:
+    """Every measured value :data:`PAPER_TABLE` names, and the rest of
+    the ladder they come from: :func:`headline_scalars`,
+    :func:`ttcp_results`, and the NX and socket small-message overheads,
+    both taken over raw AU-1copy VMMC at 8 B (``raw_small_au_us``)."""
+    values = dict(headline_scalars())
+    values.update(ttcp_results())
+    raw = values["raw_small_au_us"]
+    values["nx_overhead_us"] = values["nx_small_au_us"] - raw
+    values["socket_overhead_us"] = values["socket_small_au_us"] - raw
+    return values
+
+
+def paper_table(measured: Optional[Dict[str, float]] = None) -> str:
+    """The paper-vs-measured table: one row per :data:`PAPER_TABLE`
+    entry, then the compatible over non-compatible null round trip,
+    taken of the paper's two values and of the measured two.
+
+    ``measured`` is a :func:`paper_ladder` result (measured when None).
+    """
+    if measured is None:
+        measured = paper_ladder()
+    rows = [(label, paper, measured[key]) for key, label, paper in PAPER_TABLE]
+    rows.append(("VRPC / SHRIMP RPC null round trip",) + tuple(
+        side["vrpc_null_rtt_us"] / side["srpc_null_inout_rtt_us"]
+        for side in (PAPER, measured)))
+    return "\n".join(format_table(
+        [["row", "paper", "measured", "ratio"]]
+        + [[label, "%.2f" % paper, "%.2f" % value, "%.2f" % (value / paper)]
+           for label, paper, value in rows]))

@@ -105,8 +105,8 @@ def socket_oneway(variant_name: str, size: int, count: int = 40,
     """One-way socket pump (the ttcp methodology); returns MB/s.
 
     ``per_write_overhead`` models benchmark-side bookkeeping per write
-    call (ttcp's buffer management), which is what separates ttcp's
-    8.6 MB/s from the bare microbenchmark's 9.8 MB/s in the paper.
+    call (ttcp's buffer management), which is what separates ttcp from
+    the bare microbenchmark in the paper (``PAPER_TABLE``).
     """
     system = make_system(config)
     timing: Dict[str, float] = {}

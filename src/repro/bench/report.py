@@ -6,7 +6,7 @@ rows the paper's figures plot.
 
 This module is also the single writer for the machine-readable bench
 artifacts: every JSON document the CLI or CI emits
-(``BENCH_capacity.json``, ``BENCH_sim.json``, ``BENCH_antientropy.json``)
+(``BENCH_capacity.json``, ``BENCH_antientropy.json``)
 goes through :func:`write_bench_json`, which validates the payload
 against its registered schema (``BENCH_SCHEMAS``) before a byte is
 written — and :func:`load_bench_json` applies the same validation on
@@ -112,9 +112,6 @@ class FigureResult:
 #: :func:`validate_bench_payload`.
 BENCH_SCHEMAS: Dict[str, Sequence[str]] = {
     "repro.bench.capacity/v1": ("seed", "loads", "config", "mode"),
-    "repro.bench.simspeed/v1": ("quick", "baseline_seed_engine",
-                                "dispatch", "capacity",
-                                "speedup_vs_seed"),
     "repro.antientropy.convergence/v1": ("seed", "interval_us",
                                          "staleness", "convergence",
                                          "spec_line"),

@@ -5,7 +5,7 @@ Xpress/EISA buses, the custom two-board network interface, the Paragon
 mesh routing backplane, and the side Ethernet.
 """
 
-from .bus import EisaBus, XpressBus
+from .bus import EisaBus
 from .config import CacheMode, MachineConfig, SoftwareCosts
 from .ethernet import Ethernet, EthernetFrame
 from .machine import Machine
@@ -25,5 +25,4 @@ __all__ = [
     "PhysicalMemory",
     "SoftwareCosts",
     "Watch",
-    "XpressBus",
 ]

@@ -1,16 +1,16 @@
-"""Node buses: the Xpress memory bus and the EISA expansion bus.
+"""The node's EISA expansion bus.
 
-The Xpress bus carries CPU stores (snooped by the NIC) and the memory
-side of DMA; the EISA bus carries the NIC's DMA traffic — deliberate-
-update source reads and incoming-packet writes — plus the programmed-
-I/O accesses that initiate deliberate updates.
+The EISA bus carries the NIC's DMA traffic — deliberate-update source
+reads and incoming-packet writes — plus the programmed-I/O accesses
+that initiate deliberate updates.  It is modeled as a serially-occupied
+bandwidth channel, the end-to-end bottleneck of the system, as in the
+paper (~23 MB/s effective after per-packet setup costs).
 
-Both are modeled as serially-occupied bandwidth channels.  The EISA
-channel is the end-to-end bottleneck of the system, as in the paper
-(~23 MB/s effective after per-packet setup costs).  CPU store/load
-*costs* are charged by the cache model (config.write_cost/read_cost),
-so the Xpress channel is only occupied by DMA, avoiding double
-charging; it exists so that ablations can model memory-bus saturation.
+The node's other bus, the Xpress memory bus, has no channel of its own:
+CPU store/load *costs* are charged by the cache model
+(config.write_cost/read_cost), and modeling Xpress contention on top
+does not close the 7 KB socket-streaming deviation (docs/CALIBRATION.md,
+"Known deviations").
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 from ..sim import BandwidthChannel, FaultInjector, FaultSite, Simulator
 from .config import MachineConfig
 
-__all__ = ["EisaBus", "XpressBus"]
+__all__ = ["EisaBus"]
 
 
 class EisaBus(BandwidthChannel):
@@ -81,14 +81,3 @@ class EisaBus(BandwidthChannel):
         """CPU time of ``accesses`` programmed-I/O accesses, uncounted."""
         return accesses * self.config.eisa_pio_access
 
-
-class XpressBus(BandwidthChannel):
-    """The Xpress memory bus of one node (73 MB/s burst writes)."""
-
-    def __init__(self, sim: Simulator, config: MachineConfig, node_id: int):
-        super().__init__(
-            sim,
-            bandwidth=config.xpress_bandwidth,
-            name="xpress-n%d" % node_id,
-        )
-        self.config = config

@@ -210,9 +210,6 @@ class MachineConfig:
     """Uncached streaming reads: every word is a bus transaction."""
 
     # -- buses (Section 3.1) ----------------------------------------------
-    xpress_bandwidth: float = 73.0
-    """Xpress memory bus maximum burst write bandwidth: 73 MB/s."""
-
     eisa_dma_bandwidth: float = 26.5
     """Effective EISA DMA streaming rate.  The paper measured ~23 MB/s
     end-to-end 'limited only by the aggregate DMA bandwidth of the shared

@@ -47,7 +47,6 @@ class Machine:
         self.metrics = MetricsRegistry(self.sim)
         for node in self.nodes:
             self.metrics.register(node.eisa)
-            self.metrics.register(node.xpress)
             self.metrics.register(node.nic.fifo)
             self.metrics.register(node.nic.arbiter)
             self.metrics.register(node.nic.du_engine)

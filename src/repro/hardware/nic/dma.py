@@ -47,6 +47,10 @@ from .packetizer import Packetizer
 
 __all__ = ["DUCommand", "DeliberateUpdateEngine", "IncomingDmaEngine", "ReceiveFault"]
 
+# Tested on every incoming packet: a module global reads faster than an
+# Enum member through its class.
+_READ_REQUEST = PacketKind.READ_REQUEST
+
 
 @dataclass
 class DUCommand:
@@ -425,7 +429,7 @@ class IncomingDmaEngine:
         self._dispatch(packet)
 
     def _dispatch(self, packet) -> None:
-        if packet.kind is PacketKind.READ_REQUEST:
+        if packet.kind is _READ_REQUEST:
             # The descriptor check and IPT lookup are card-local: no
             # port claim for them.
             self.sim.schedule_call(self.config.ipt_lookup, self._serve, packet)

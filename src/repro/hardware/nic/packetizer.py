@@ -33,6 +33,13 @@ from ...sim.timers import IdleTimer
 
 __all__ = ["Packetizer"]
 
+# Every packet passes a kind through here; reading an Enum member
+# through its class costs a descriptor lookup each time, a module
+# global does not.
+_AUTOMATIC_UPDATE = PacketKind.AUTOMATIC_UPDATE
+_DELIBERATE_UPDATE = PacketKind.DELIBERATE_UPDATE
+_READ_REQUEST = PacketKind.READ_REQUEST
+
 
 class _OpenPacket:
     """A packet under construction at the FIFO tail."""
@@ -103,7 +110,7 @@ class Packetizer:
                     entry.dst_node,
                     dst_paddr + i,
                     bytes(data[i : i + word]),
-                    PacketKind.AUTOMATIC_UPDATE,
+                    _AUTOMATIC_UPDATE,
                     entry.dest_interrupt,
                 )
             return
@@ -151,7 +158,7 @@ class Packetizer:
     def du_emit(self, dst_node: int, dst_paddr: int, payload: bytes, interrupt: bool) -> None:
         """Queue a DU chunk as one packet (after closing any open AU packet)."""
         self._close_open()
-        self._emit_closed(dst_node, dst_paddr, payload, PacketKind.DELIBERATE_UPDATE, interrupt)
+        self._emit_closed(dst_node, dst_paddr, payload, _DELIBERATE_UPDATE, interrupt)
 
     # -- one-sided read request path ---------------------------------------------
     def request_emit(self, dst_node: int, payload: bytes) -> None:
@@ -163,7 +170,7 @@ class Packetizer:
         per-pair ordering and the mesh fault sites apply to them too.
         """
         self._close_open()
-        self._emit_closed(dst_node, 0, payload, PacketKind.READ_REQUEST, False)
+        self._emit_closed(dst_node, 0, payload, _READ_REQUEST, False)
 
     # -- timer ---------------------------------------------------------------------
     def _arm_timer(self) -> None:
@@ -192,7 +199,7 @@ class Packetizer:
             open_packet.dst_node,
             open_packet.dst_paddr,
             bytes(open_packet.data),
-            PacketKind.AUTOMATIC_UPDATE,
+            _AUTOMATIC_UPDATE,
             open_packet.interrupt,
         )
 
@@ -222,7 +229,7 @@ class Packetizer:
         # its last action, so an idle injection stage may take the
         # packet in place, and a full FIFO keeps it in order.
         delay = self.config.packetize_latency
-        if kind is PacketKind.AUTOMATIC_UPDATE:
+        if kind is _AUTOMATIC_UPDATE:
             delay += self.config.snoop_opt_lookup
         target = max(self.sim.now + delay, self._last_enqueue_at)
         self._last_enqueue_at = target

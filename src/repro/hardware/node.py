@@ -1,6 +1,6 @@
 """One SHRIMP node: a DEC 560ST PC with the custom NIC installed.
 
-The node owns its physical memory, the two buses, and the network
+The node owns its physical memory, the EISA bus, and the network
 interface, and exposes the CPU's view of memory: timed stores and loads
 that go through the cache-mode cost model and feed the NIC's snoop
 logic.  Address translation lives a layer up, in the OS model
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim import FaultInjector, Resource, Simulator, Tracer
-from .bus import EisaBus, XpressBus
+from .bus import EisaBus
 from .config import CacheMode, MachineConfig
 from .memory import PhysicalMemory
 from .nic.interface import NetworkInterface
@@ -42,9 +42,6 @@ class Node:
         self.eisa = EisaBus(sim, config, node_id, faults=self.faults)
         self.eisa.tracer = self.tracer
         self.eisa.track = "n%d.bus.eisa" % node_id
-        self.xpress = XpressBus(sim, config, node_id)
-        self.xpress.tracer = self.tracer
-        self.xpress.track = "n%d.bus.xpress" % node_id
         self.nic = NetworkInterface(
             sim, config, node_id, self.memory, self.eisa, mesh, self.tracer,
             faults=self.faults,

@@ -15,9 +15,8 @@ quantization (the 5% acceptance gate in docs/OBSERVABILITY.md).
 :func:`diff_bench_payloads` is the artifact-level companion: it takes
 two validated bench documents (any schema the shared writer in
 :mod:`repro.bench.report` knows) and reports what moved — knees and
-per-point tails for capacity sweeps, event rates for simspeed,
-convergence for anti-entropy — which is what the CI bench-history
-step posts to the job summary.
+per-point tails for capacity sweeps, convergence for anti-entropy —
+which is what the CI bench-history step posts to the job summary.
 
 Pure span/report consumers, like :mod:`repro.obs.profile`: nothing
 here emits spans or runs on the simulation hot path.
@@ -239,20 +238,6 @@ def diff_bench_payloads(a: dict, b: dict) -> str:
                                       b["mitigated"]))
         else:
             lines.extend(_sweep_lines("", a, b))
-    elif schema_a == "repro.bench.simspeed/v1":
-        for title, path, fmt in (
-                ("dispatch events/s", ("dispatch", "events_per_s"),
-                 "%.0f"),
-                ("capacity wall s", ("capacity", "best_wall_s"),
-                 "%.3f"),
-                ("capacity seed-equivalent events/s",
-                 ("capacity", "seed_equivalent_events_per_s"), "%.0f")):
-            va = a.get(path[0], {}).get(path[1])
-            vb = b.get(path[0], {}).get(path[1])
-            if va is None or vb is None:
-                continue
-            lines.append("%s: A %s -> B %s (%s)"
-                         % (title, fmt % va, fmt % vb, _pct(va, vb)))
     elif schema_a == "repro.antientropy.convergence/v1":
         ca, cb = a.get("convergence") or {}, b.get("convergence") or {}
         for key in ("rounds", "repaired", "divergent_last",

@@ -359,8 +359,8 @@ class Simulator:
     same-time, same-priority callbacks run in scheduling order, making
     runs fully deterministic.
 
-    ``events_executed`` counts dispatched callbacks — the denominator of
-    the sim-events/sec figure in ``BENCH_sim.json``.
+    ``events_executed`` counts dispatched callbacks; the layer ledger
+    reports it per run as ``sim.events``.
     """
 
     def __init__(self):

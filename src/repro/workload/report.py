@@ -48,9 +48,9 @@ class WorkloadReport:
     staleness: Optional[Dict[str, int]] = None
     convergence: Optional[dict] = None
     #: Scheduler entries the run dispatched (``Simulator.
-    #: events_executed``) — the denominator of the engine-speed metric
-    #: (bench/simspeed).  Never rendered into the text report, so the
-    #: determinism goldens are unaffected.
+    #: events_executed``) — the layer ledger's ``sim.events`` and the
+    #: denominator of its ``sim.host_ns_per_event``.  Never rendered
+    #: into the text report, so the determinism goldens are unaffected.
     events_executed: int = 0
     #: The run's recorded spans when ``spec.trace`` was set, else None.
     #: Carried for trace assembly (``python -m repro explain``) and the

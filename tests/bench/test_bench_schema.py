@@ -32,14 +32,6 @@ def _sample(schema):
             "points": [{"offered_load": 10000.0, "throughput": 9000.0,
                         "p50_us": 40.0, "p99_us": 90.0}],
         }
-    if schema == "repro.bench.simspeed/v1":
-        return {
-            "schema": schema, "quick": True,
-            "baseline_seed_engine": {"events_per_s": 388437.0},
-            "dispatch": {"events_per_s": 800000.0},
-            "capacity": {"best_wall_s": 1.0},
-            "speedup_vs_seed": {"dispatch": 2.1},
-        }
     return {
         "schema": schema, "seed": 3, "interval_us": 1000.0,
         "staleness": {"stale": 0, "reads": 100},
@@ -57,9 +49,8 @@ def test_every_registered_schema_has_a_valid_sample():
 def test_committed_artifacts_validate():
     # The repo's own committed artifacts must load through the shared
     # reader without special cases — that is what diff --bench ingests.
-    for name in ("BENCH_capacity.json", "BENCH_sim.json"):
-        payload = load_bench_json(str(REPO / name))
-        assert payload["schema"] in BENCH_SCHEMAS
+    payload = load_bench_json(str(REPO / "BENCH_capacity.json"))
+    assert payload["schema"] in BENCH_SCHEMAS
 
 
 def test_unknown_schema_is_rejected():
@@ -70,12 +61,12 @@ def test_unknown_schema_is_rejected():
 
 
 def test_missing_top_level_keys_are_each_reported():
-    payload = _sample("repro.bench.simspeed/v1")
-    del payload["quick"]
-    del payload["capacity"]
+    payload = _sample("repro.antientropy.convergence/v1")
+    del payload["seed"]
+    del payload["convergence"]
     problems = validate_bench_payload(payload)
-    assert any("'quick'" in p for p in problems)
-    assert any("'capacity'" in p for p in problems)
+    assert any("'seed'" in p for p in problems)
+    assert any("'convergence'" in p for p in problems)
 
 
 def test_capacity_ab_requires_both_sweeps():

@@ -22,11 +22,6 @@ class TestCli:
         assert "4.75" in out            # the paper column
         assert "VRPC null round trip" in out
 
-    def test_ttcp_command(self, capsys):
-        assert main(["ttcp"]) == 0
-        out = capsys.readouterr().out
-        assert "ttcp_7k_mb_s" in out
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure-nine"])

@@ -83,11 +83,6 @@ def test_au_copy_rate_caps_near_twenty_mb_per_sec():
     assert 17.0 < rate < 23.0
 
 
-def test_eisa_slower_than_xpress():
-    config = MachineConfig.shrimp_prototype()
-    assert config.eisa_dma_bandwidth < config.xpress_bandwidth
-
-
 def test_invalid_page_size_rejected():
     with pytest.raises(ValueError):
         MachineConfig(page_size=4095)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import EisaBus, Ethernet, MachineConfig, XpressBus
+from repro.hardware import EisaBus, Ethernet, MachineConfig
 from repro.hardware.config import CacheMode
 from repro.hardware.machine import Machine
 from repro.sim import Simulator, spawn
@@ -92,13 +92,6 @@ class TestBuses:
         cost = eisa.pio_cost(2)
         assert cost == 2 * config.eisa_pio_access
         assert eisa.pio_accesses == 2
-
-    def test_eisa_slower_than_xpress(self):
-        sim = Simulator()
-        config = MachineConfig.shrimp_prototype()
-        eisa = EisaBus(sim, config, 0)
-        xpress = XpressBus(sim, config, 0)
-        assert eisa.occupancy(1024) > xpress.occupancy(1024)
 
 
 class TestNodeCpuOps:

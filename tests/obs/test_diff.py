@@ -114,19 +114,6 @@ def test_bench_diff_reports_missing_knees():
     assert "no knee in range" in text
 
 
-def test_bench_diff_simspeed():
-    def payload(rate):
-        return {"schema": "repro.bench.simspeed/v1", "quick": True,
-                "baseline_seed_engine": {},
-                "dispatch": {"events_per_s": rate},
-                "capacity": {"best_wall_s": 1.0,
-                             "seed_equivalent_events_per_s": rate * 2},
-                "speedup_vs_seed": {}}
-    text = diff_bench_payloads(payload(400000.0), payload(800000.0))
-    assert "dispatch events/s" in text
-    assert "+100.0%" in text
-
-
 def test_bench_diff_antientropy():
     def payload(rounds, stale):
         return {"schema": "repro.antientropy.convergence/v1",
@@ -145,6 +132,6 @@ def test_bench_diff_antientropy():
 def test_bench_diff_refuses_mismatched_schemas():
     text = diff_bench_payloads(
         _capacity_payload(1.0, 1.0),
-        {"schema": "repro.bench.simspeed/v1"})
+        {"schema": "repro.antientropy.convergence/v1"})
     assert "schemas differ" in text
     assert "nothing comparable" in text

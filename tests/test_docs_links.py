@@ -10,8 +10,8 @@ Two structural checks over every Markdown file in the repo root and
   against the real argument parser, so a renamed flag or subcommand
   cannot strand a stale example.
 
-A third check runs one documented command and compares its output
-with the block the doc shows for it, so that block cannot go stale.
+Two more checks run documented commands and compare their output with
+the blocks the doc shows for them, so those blocks cannot go stale.
 
 These run in the docs CI job (.github/workflows/ci.yml) as well as in
 the default test suite.
@@ -135,10 +135,26 @@ def _output_block_after(text, command):
     return "\n".join(lines[fences[1] + 1:fences[2]])
 
 
+def _printed(command):
+    """What ``command`` (a ``python -m repro ...`` line) prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(shlex.split(command)[3:]) == 0
+    return out.getvalue().rstrip("\n")
+
+
 def test_experiments_mitigation_block_is_the_commands_output():
     expected = _output_block_after(
         (REPO_ROOT / "EXPERIMENTS.md").read_text(), MITIGATION_AB)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(shlex.split(MITIGATION_AB)[3:]) == 0
-    assert out.getvalue().rstrip("\n") == expected
+    assert _printed(MITIGATION_AB) == expected
+
+
+def test_experiments_paper_table_is_the_commands_output():
+    """EXPERIMENTS.md's paper-vs-measured table is what the command
+    prints, and what the headline benchmark writes."""
+    command = "python -m repro scalars"
+    expected = _output_block_after(
+        (REPO_ROOT / "EXPERIMENTS.md").read_text(), command)
+    assert _printed(command) == expected
+    written = REPO_ROOT / "benchmarks" / "results" / "headline_scalars.txt"
+    assert written.read_text().rstrip("\n") == expected
