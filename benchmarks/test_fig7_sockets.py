@@ -2,14 +2,13 @@
 
 Shape claims checked:
 
-* small messages run ~13 us above the raw hardware limit, 'divided
-  roughly equally between the sender and receiver';
-* AU-2copy has the lowest small-message latency;
-* for large messages performance is close to (here: at or above) the
-  raw one-copy limit, with DU-1copy fastest and DU-2copy paying for
-  its staging copy;
-* a zero-copy socket is impossible (protection), so no curve ever
-  reaches the DU-0copy raw limit of ~23 MB/s.
+* small messages run ~13 us above the raw hardware limit: AU-2copy at
+  4 B is 10-16 us slower one way than a raw AU-1copy transfer;
+* AU-2copy starts up cheaper than DU-1copy (4 B latency);
+* DU-2copy pays for its staging copy: at 10 KB it has a higher latency
+  and a lower bandwidth than DU-1copy;
+* a zero-copy socket is impossible (protection), so no curve reaches
+  the DU-0copy raw limit of ~23 MB/s at 10 KB.
 """
 
 from conftest import run_once

@@ -68,7 +68,9 @@ class UserProcess:
         on its own before a ``wait_any``), saving
         one scheduler wake.  The deadline arithmetic repeats the
         two-sleep float operations ((now + charge) + cost), so the
-        final instant is bit-exact with the separate-sleep form.
+        final instant is bit-exact with the separate-sleep form.  The
+        op's CPU span is recorded from that computed start
+        (``now + charge``), so a traced run takes the same one sleep.
 
         Only valid when ALL code between the charge and the process's
         next timed operation is side-effect free (no stores, sends,
@@ -102,29 +104,20 @@ class UserProcess:
         sleep and the store is translated when it lands, after it.
         """
         sim = self.sim
-        tracer = self.tracer
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if tracer.enabled:
-                # Traced runs keep the historical shape: the deferred
-                # charge sleeps on its own (exactly the compute() it
-                # replaced) so span starts, durations, and sid order
-                # are untouched by the wake merge.
-                yield sim.now + lead
-                lead = 0.0
         space = self.space
         pte = space.page_table.get(vaddr // self.config.page_size)
         mode = pte.cache_mode if pte is not None else space.cache_mode_of(vaddr)
         base, per_byte = self.config.write_rate(mode)
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "cpu.store", "store %dB" % len(data), track=self.trace_track,
-                data={"bytes": len(data)},
-            )
         nbytes = len(data)
         start = sim.now + lead
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.begin("cpu.store", "store %dB" % nbytes,
+                                     track=self.trace_track,
+                                     data={"bytes": nbytes}, start=start)
         if nbytes <= self.config.cpu_stream_chunk:
             # Single-chunk fast path: one wake instead of two.  The
             # deadline is computed with the same float operations the
@@ -136,7 +129,7 @@ class UserProcess:
             yield start + base
             yield from self._stream_out(vaddr, data, per_byte)
         if span is not None:
-            tracer.end(span)
+            self.tracer.end(span)
 
     def _stream_out(self, vaddr: int, data: bytes, per_byte: float):
         """Chunked store loop: charge, land bytes, snoop — per chunk."""
@@ -176,9 +169,6 @@ class UserProcess:
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if self.tracer.enabled:  # see write(): traced runs don't merge
-                yield sim.now + lead
-                lead = 0.0
         space = self.space
         page_size = self.config.page_size
         vpage, offset = divmod(vaddr, page_size)
@@ -204,13 +194,9 @@ class UserProcess:
         destination, when it is copied.
         """
         sim = self.sim
-        tracer = self.tracer
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if tracer.enabled:  # see write(): traced runs don't merge
-                yield sim.now + lead
-                lead = 0.0
         space = self.space
         page_table = space.page_table
         page_size = self.config.page_size
@@ -220,14 +206,13 @@ class UserProcess:
         dst_mode = pte.cache_mode if pte is not None else space.cache_mode_of(dst_vaddr)
         read_base, read_pb = self.config.read_rate(src_mode)
         write_base, write_pb = self.config.write_rate(dst_mode)
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "cpu.copy", "copy %dB" % nbytes, track=self.trace_track,
-                data={"bytes": nbytes},
-            )
         chunk_size = self.config.cpu_stream_chunk
         start = sim.now + lead
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.begin("cpu.copy", "copy %dB" % nbytes,
+                                     track=self.trace_track,
+                                     data={"bytes": nbytes}, start=start)
         if nbytes <= chunk_size:
             # Single-chunk fast path, bit-exact with the two-sleep form.
             yield ((start + (read_base + write_base))
@@ -243,7 +228,7 @@ class UserProcess:
                 self._store(dst_vaddr + offset,
                             self.peek(src_vaddr + offset, length))
         if span is not None:
-            tracer.end(span)
+            self.tracer.end(span)
 
     def compute(self, microseconds: float, priority: Optional[int] = None):
         """Pure CPU time (library bookkeeping, marshaling logic, ...).
@@ -261,11 +246,10 @@ class UserProcess:
         lead = self._lead
         if lead:
             self._lead = 0.0
-            if contended or self.tracer.enabled:
-                # Paid as its own sleep: traced runs don't merge (see
-                # write()), and a contended charge is exactly what the
-                # caller's separate compute() cost, before queueing for
-                # a CPU slot.
+            if contended:
+                # Paid as its own sleep: a contended charge is exactly
+                # what the caller's separate compute() cost, before
+                # queueing for a CPU slot.
                 yield sim.now + lead
                 lead = 0.0
         if not contended:
@@ -294,8 +278,8 @@ class UserProcess:
         simulated *cost structure* matches polling while the event count
         stays proportional to actual writes (DESIGN.md decision on
         polling).  Returns None if ``deadline`` (absolute sim time)
-        passes first.  The range is translated once, before the first
-        check.
+        passes first, after one last check.  The range is translated
+        once, before the first check.
         """
         space = self.space
         page_size = self.config.page_size
@@ -317,26 +301,20 @@ class UserProcess:
             def load():
                 return b"".join(memory.read(p, n) for p, n in segments)
         sim = self.sim
-        lead = self._lead
-        if lead:
-            self._lead = 0.0
-            if self.tracer.enabled:  # see write(): traced runs don't merge
-                yield sim.now + lead
-                lead = 0.0
+        # ``start`` is the instant the current check begins; a store's
+        # wake already carries the check's charge (_sleep_until_write).
+        start = sim.now + self._lead
+        self._lead = 0.0
         charged = False
         while True:
             self.poll_checks += 1
             span = None
             if self.tracer.enabled:
-                span = self.tracer.begin(
-                    "cpu.poll", "poll check", track=self.trace_track,
-                    data={"bytes": nbytes},
-                )
-            if charged:
-                charged = False  # the watch wake already carried the charge
-            else:
-                yield (sim.now + lead) + check_cost
-                lead = 0.0
+                span = self.tracer.begin("cpu.poll", "poll check",
+                                         track=self.trace_track,
+                                         data={"bytes": nbytes}, start=start)
+            if not charged:
+                yield start + check_cost
             data = load()
             hit = predicate(data)
             if span is not None:
@@ -345,63 +323,10 @@ class UserProcess:
                 return data
             if deadline is not None and sim.now >= deadline:
                 return None
-            woke = Event(sim, name="poll-wake")
-            dl_handle = None
-            fast = deadline is None and not self.tracer.enabled
-            if fast:
-                # Merged wake: the watchpoint schedules the wake event
-                # to succeed at (write instant + check cost), so one
-                # scheduler entry lands the process directly past the
-                # post-wake check charge — bit-exact with
-                # wake-then-charge, one entry and one resume cheaper.
-                # The fired guard keeps further writes in the charge
-                # window from re-arming it.  Traced polls keep the
-                # two-step shape so check spans are unchanged.
-                state = [False]
-
-                def _wake(p, n, _woke=woke, _state=state):
-                    if _state[0]:
-                        return
-                    _state[0] = True
-                    _woke.succeed_later(check_cost)
-
-                watches = [
-                    memory.add_watch(paddr, length, _wake)
-                    for paddr, length in segments
-                ]
-                wait = woke
-            else:
-                watches = [
-                    memory.add_watch(
-                        paddr, length,
-                        lambda p, n: None if woke.triggered else woke.succeed(None),
-                    )
-                    for paddr, length in segments
-                ]
-                if deadline is not None:
-                    # One wheel slot per distinct deadline: re-arms on
-                    # later loop iterations share the first iteration's
-                    # scheduler entry, and the cancel after the yield
-                    # keeps early-wake iterations from leaving dead
-                    # deadline dispatches behind.
-                    expired = Event(sim, name="poll-deadline")
-                    dl_handle = self._wheel.at(deadline, expired.succeed, None)
-                    wait = sim.any_of([woke, expired])
-                else:
-                    wait = woke
-            # Re-check once before sleeping: a write may have landed
-            # between our read above and the watch registration.
-            data = load()
-            if predicate(data):
-                for watch in watches:
-                    memory.remove_watch(watch)
-                return data
-            yield wait
-            for watch in watches:
-                memory.remove_watch(watch)
-            if dl_handle is not None:
-                self._wheel.cancel(dl_handle)
-            charged = fast
+            wrote = yield from self._sleep_until_write(segments, check_cost,
+                                                       deadline)
+            charged = wrote is not None
+            start = wrote if charged else sim.now
 
     def poll_flag(self, vaddr: int, expected: bytes, deadline: Optional[float] = None):
         """Poll until the bytes at ``vaddr`` equal ``expected``."""
@@ -420,42 +345,79 @@ class UserProcess:
         sleep of a receiver that serves several peers (select() over
         mapped buffers).
 
-        ``ranges`` are ``(vaddr, nbytes)`` pairs.  The watches go in
-        first, then ``arrived()`` (an untimed check of the caller's own
-        predicate) is re-checked, so a write that landed since the
-        caller's last scan is not slept through.  Returns True after
-        charging one poll check, whether it slept or not; the caller
-        then rescans.  Returns False, with no charge, when
-        ``timeout_us`` passes first.
+        ``ranges`` are ``(vaddr, nbytes)`` pairs.  ``arrived()`` (an
+        untimed check of the caller's own predicate) is checked first,
+        so a write that landed since the caller's last scan is not
+        slept through.  Returns True after charging one poll check,
+        whether it slept or not; the caller then rescans.  Returns
+        False, with no charge, when ``timeout_us`` passes first.
         """
         sim = self.sim
         lead = self._lead
         if lead:
             self._lead = 0.0
             yield sim.now + lead
+        segments = [segment for vaddr, nbytes in ranges
+                    for segment in self.space.translate(vaddr, nbytes)]
+        check_cost = self.config.costs.vmmc_poll_check
+        if arrived():
+            yield sim.now + check_cost
+            return True
+        wrote = yield from self._sleep_until_write(
+            segments, check_cost,
+            None if timeout_us is None else sim.now + timeout_us)
+        return wrote is not None
+
+    def _sleep_until_write(
+        self,
+        segments: Sequence[Tuple[int, int]],
+        charge: float,
+        deadline: Optional[float],
+    ):
+        """The flag-wait sleep: until a store lands in any of ``segments``
+        (physical ``(paddr, nbytes)`` pairs) or ``deadline`` passes.
+
+        A store wakes the process ``charge`` after its instant with one
+        scheduler entry (``Event.succeed_later``), bit-exact with
+        wake-then-charge; the guard keeps further stores in that window
+        from re-arming it.  ``deadline`` (absolute) is armed on the
+        process's timer wheel — one slot per distinct deadline, shared
+        by re-arms — and resumes the process at its instant, uncharged.
+        Returns the instant the waking store landed, or None when the
+        deadline passed first.  No watch or wheel timer outlives the
+        sleep.
+        """
+        sim = self.sim
         memory = self.node.memory
-        woke = Event(sim, name="wait-any")
+        woke = Event(sim, name="flag-wake")
+        armed = True
 
         def _wake(_paddr, _nbytes):
-            if not woke.triggered:
-                woke.succeed(None)
+            nonlocal armed
+            if armed:
+                armed = False
+                woke.succeed_later(charge, sim.now)
 
         watches = [memory.add_watch(paddr, length, _wake)
-                   for vaddr, nbytes in ranges
-                   for paddr, length in self.space.translate(vaddr, nbytes)]
-        if not arrived():
-            if timeout_us is None:
-                yield woke
-            else:
-                yield sim.any_of([woke, sim.timeout(timeout_us)])
-                if not woke.triggered:
-                    for watch in watches:
-                        memory.remove_watch(watch)
-                    return False
-        for watch in watches:
-            memory.remove_watch(watch)
-        yield sim.now + self.config.costs.vmmc_poll_check
-        return True
+                   for paddr, length in segments]
+        timer = None
+        if deadline is not None:
+            def _expire():
+                nonlocal armed
+                if armed:
+                    armed = False
+                    woke.succeed(None)
+
+            timer = self._wheel.at(deadline, _expire)
+        try:
+            return (yield woke)
+        finally:
+            # finally: an interrupt thrown in at the yield must disarm
+            # the sleep too.
+            for watch in watches:
+                memory.remove_watch(watch)
+            if timer is not None:
+                self._wheel.cancel(timer)
 
     # -- zero-cost debug access -----------------------------------------------------
     def peek(self, vaddr: int, nbytes: int) -> bytes:

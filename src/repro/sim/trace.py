@@ -129,13 +129,17 @@ class Tracer:
         self._handoff: Dict[Hashable, Tuple[int, int]] = {}
 
     def begin(self, category: str, name: str, track: str = "sim",
-              data: Any = None) -> Optional[Span]:
+              data: Any = None, start: Optional[float] = None) -> Optional[Span]:
         """Open a span now on ``track``; returns it (None when disabled).
 
         The innermost still-open span of the same track becomes the new
         span's parent, so nested library/VMMC/CPU work links up without
         any caller bookkeeping.  Call sites may pass the result straight
         to :meth:`end`, which accepts None.
+
+        ``start`` overrides the recorded start instant: an operation
+        whose first sleep folds in a deferred charge opens its span at
+        call time but starts it where the charge ends.
         """
         if not self.enabled:
             return None
@@ -145,8 +149,8 @@ class Tracer:
         stack = self._stacks.setdefault(track, [])
         parent = stack[-1].sid if stack else None
         self._next_sid += 1
-        span = Span(self._next_sid, parent, category, name, track, self.sim.now,
-                    data=data)
+        span = Span(self._next_sid, parent, category, name, track,
+                    self.sim.now if start is None else start, data=data)
         self.spans.append(span)
         stack.append(span)
         return span

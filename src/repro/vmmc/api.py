@@ -156,64 +156,20 @@ class VmmcEndpoint:
         into the imported buffer at ``offset``.  Returns when the source
         data has been read out (safe to reuse); delivery completes
         asynchronously, in order.  With ``notify=True`` the final packet
-        carries the sender-specified interrupt flag.
+        carries the sender-specified interrupt flag.  This is
+        :meth:`send_nonblocking` followed by a wait on its event.
         """
-        word = self.proc.config.word_size
-        if local_vaddr % word != 0:
-            raise VmmcAlignmentError(
-                "deliberate-update source %#x is not word-aligned" % local_vaddr
-            )
-        if offset % word != 0:
-            raise VmmcAlignmentError(
-                "deliberate-update destination offset %d is not word-aligned" % offset
-            )
-        if not imported.active:
-            raise VmmcStateError("send through a destroyed import")
-        if nbytes <= 0:
-            raise ValueError("send size must be positive")
-        if offset + nbytes > imported.nbytes:
-            raise ValueError(
-                "send of %d bytes at offset %d exceeds the %d-byte buffer"
-                % (nbytes, offset, imported.nbytes)
-            )
-        # User-level bookkeeping, then the two decoded EISA accesses of
-        # the transfer-initiation sequence: one sleep to the two-sleep
-        # deadline (now + call) + pio, the source translated at its
-        # start.  A source fault still surfaces at now + call, and
-        # traced runs keep both sleeps, as UserProcess.charge does.
         proc = self.proc
-        sim = proc.sim
-        eisa = proc.node.eisa
         tracer = proc.tracer
-        traced = tracer.enabled
         span = None
-        if traced:
+        if tracer.enabled:
             span = tracer.begin(
                 "vmmc.send", "send %dB" % nbytes, track=proc.trace_track,
                 data={"bytes": nbytes},
             )
         try:
-            called = sim.now + proc.config.costs.vmmc_send_call
-            if traced:
-                yield called
-            try:
-                segments = proc.space.translate(local_vaddr, nbytes,
-                                                write=False)
-            except ProtectionFault:
-                if not traced:
-                    yield called
-                raise
-            yield called + eisa.pio_time(2)
-            eisa.pio_accesses += 2
-            done = proc.node.nic.initiate_deliberate_update(
-                src_segments=segments,
-                opt_base=imported.opt_base,
-                offset=offset,
-                size=nbytes,
-                interrupt=notify,
-            )
-            self.sends += 1
-            self.bytes_sent += nbytes
+            done = yield from self.send_nonblocking(
+                imported, local_vaddr, nbytes, offset, notify)
             yield done
         finally:
             # finally: a hardened caller catches fault-raised timeouts
@@ -241,17 +197,39 @@ class VmmcEndpoint:
         it).  Delivery remains in order with other sends.
         """
         word = self.proc.config.word_size
-        if local_vaddr % word != 0 or offset % word != 0:
-            raise VmmcAlignmentError("non-blocking send must be word-aligned")
+        if local_vaddr % word != 0:
+            raise VmmcAlignmentError(
+                "deliberate-update source %#x is not word-aligned" % local_vaddr
+            )
+        if offset % word != 0:
+            raise VmmcAlignmentError(
+                "deliberate-update destination offset %d is not word-aligned" % offset
+            )
         if not imported.active:
             raise VmmcStateError("send through a destroyed import")
-        if nbytes <= 0 or offset + nbytes > imported.nbytes:
-            raise ValueError("bad non-blocking send size/offset")
-        costs = self.proc.config.costs
-        yield self.proc.sim.timeout(costs.vmmc_send_call)
-        segments = self.proc.space.translate(local_vaddr, nbytes, write=False)
-        yield self.proc.sim.timeout(self.proc.node.eisa.pio_cost(2))
-        done = self.proc.node.nic.initiate_deliberate_update(
+        if nbytes <= 0:
+            raise ValueError("send size must be positive")
+        if offset + nbytes > imported.nbytes:
+            raise ValueError(
+                "send of %d bytes at offset %d exceeds the %d-byte buffer"
+                % (nbytes, offset, imported.nbytes)
+            )
+        # User-level bookkeeping, then the two decoded EISA accesses of
+        # the transfer-initiation sequence: one sleep to the two-sleep
+        # deadline (now + call) + pio, the source translated at its
+        # start.  A source fault still waits out the call cost and
+        # surfaces at now + call.
+        proc = self.proc
+        eisa = proc.node.eisa
+        called = proc.sim.now + proc.config.costs.vmmc_send_call
+        try:
+            segments = proc.space.translate(local_vaddr, nbytes, write=False)
+        except ProtectionFault:
+            yield called
+            raise
+        yield called + eisa.pio_time(2)
+        eisa.pio_accesses += 2
+        done = proc.node.nic.initiate_deliberate_update(
             src_segments=segments,
             opt_base=imported.opt_base,
             offset=offset,

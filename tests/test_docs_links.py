@@ -10,8 +10,8 @@ Two structural checks over every Markdown file in the repo root and
   against the real argument parser, so a renamed flag or subcommand
   cannot strand a stale example.
 
-Two more checks run documented commands and compare their output with
-the blocks the doc shows for them, so those blocks cannot go stale.
+Three more checks run documented commands and compare their output
+with the blocks the doc shows for them, so those blocks cannot go stale.
 
 These run in the docs CI job (.github/workflows/ci.yml) as well as in
 the default test suite.
@@ -158,3 +158,20 @@ def test_experiments_paper_table_is_the_commands_output():
     assert _printed(command) == expected
     written = REPO_ROOT / "benchmarks" / "results" / "headline_scalars.txt"
     assert written.read_text().rstrip("\n") == expected
+
+
+#: OBSERVABILITY.md's worked ``explain`` example (``make explain-demo``).
+EXPLAIN_DEMO = "python -m repro explain --seed 1 --requests 80"
+
+
+def test_observability_explain_block_is_the_commands_output():
+    """The doc shows the command's tree and stage budget, through its
+    ``measured`` line; the telemetry summary printed after that is
+    left out of the doc."""
+    text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    lines = text[text.index("$ " + EXPLAIN_DEMO):].splitlines()
+    shown = lines[1:lines.index("```")]
+    printed = _printed(EXPLAIN_DEMO).splitlines()
+    end = next(i for i, line in enumerate(printed)
+               if line.startswith("measured "))
+    assert printed[:end + 1] == shown

@@ -9,10 +9,10 @@ a cache and admission control, session and quorum reads with read
 repair, SRPC and sockets requests shed and retried under admission,
 and seeded fault plans over the pipelined, quorum and sockets paths.
 
-Every run is traced.  Tracing moves no simulated time, so each
-entry's report is also the untraced run's report
-(``test_traced_identity.py`` checks that).  Each entry records the
-report, the traced run's dispatched event count, every ``kv.*`` span
+Every run is traced.  Tracing moves no simulated time and adds no
+scheduler entry, so each entry's report and event count are also the
+untraced run's (``test_traced_identity.py`` checks that).  Each entry
+records the report, the run's dispatched event count, every ``kv.*`` span
 (sid, parent, category, name, track, start, end and data, floats
 written with ``repr`` so a one-ulp drift shows) and a digest of the
 full span list, which covers the lower layers' spans too.

@@ -1,10 +1,13 @@
-"""A traced run is the untraced run.
+"""A traced run is the untraced run plus spans.
 
 Trace context travels beside the simulated messages, in the machine
-tracer's hand-off table, never in their bytes.  So turning tracing on
-may add spans but must not move anything the simulation does: every
-report line (latencies, event counts, utilization, fault outcomes)
-stays byte-identical.  Each spec below runs twice, untraced and traced.
+tracer's hand-off table, never in their bytes, and no timed path
+branches on ``tracer.enabled``: a CPU span is recorded from the
+instants the untraced sleep already computes.  So turning tracing on
+adds spans and nothing else: the run dispatches exactly the untraced
+run's scheduler entries, and every report line (latencies, event
+counts, utilization, fault outcomes) stays byte-identical.  Each spec
+below runs twice, untraced and traced.
 
 The specs: the 15 ``kv_path`` golden cases (6 under seeded fault
 plans), the two zero-regression workloads, the shed-tree spec, and the
@@ -50,3 +53,4 @@ def test_tracing_changes_no_report_line(name):
     traced = _report(spec, seed, trace=True)
     assert not untraced.spans and traced.spans
     assert traced.report() == untraced.report()
+    assert traced.events_executed == untraced.events_executed
