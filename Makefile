@@ -35,16 +35,18 @@ capacity-json:
 mitigation-demo:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --loads 20000,40000,80000,120000,160000,240000,320000 --zipf-s 1.3 --ab
 
-# Paired A/B sweep isolating the one-sided server bypass (docs/ONESIDED.md);
-# the committed BENCH_capacity.json uses REQUESTS=2000.
+# Paired A/B sweep isolating the one-sided server bypass (docs/ONESIDED.md).
+# It overwrites BENCH_capacity.json; the committed copy comes from
+# capacity-overload-json below.
 capacity-ab-json:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --ab --onesided --seed $${SEED:-11} --concurrency $${CONCURRENCY:-16} --requests $${REQUESTS:-2000} --loads $${LOADS:-150000,200000,250000,300000} --json BENCH_capacity.json
 
 # Overload-control A/B (docs/OVERLOAD.md): both sides model contended
 # node CPUs, only B arms admission + retry budgets + backpressure.  The
-# committed BENCH_capacity.json was produced by this target's defaults.
+# committed BENCH_capacity.json is this target's defaults' output, and
+# CI checks that it still reproduces byte for byte.
 capacity-overload-json:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --overload --seed $${SEED:-11} --concurrency $${CONCURRENCY:-16} --requests $${REQUESTS:-2000} --loads $${LOADS:-20000,40000,60000,80000} --json BENCH_capacity.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --overload --seed $${SEED:-11} --concurrency $${CONCURRENCY:-16} --requests $${REQUESTS:-2000} --loads $${LOADS:-20000,40000,60000,80000,120000} --json BENCH_capacity.json
 
 # Consistency A/B (docs/REPLICATION.md): A = eventual + read-spreading
 # (nonzero stale-read rate), B = quorum reads/writes + read repair
@@ -72,7 +74,7 @@ onesided-demo:
 # a controlled run at 2x the calibrated knee, showing the rejected:/
 # goodput: report lines and the conservation invariant.
 overload-demo:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro workload --seed 11 --requests 2000 --concurrency 16 --load 80000 --cpu-slots 1 --cpu-op-us 50 --slo-latency 1000 --admission --admit-queue 8 --admit-deadline 400 --retry-budget 1 --retry-base 50 --backpressure
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro workload --seed 11 --requests 2000 --concurrency 16 --load 120000 --cpu-slots 1 --cpu-op-us 50 --slo-latency 1000 --admission --admit-queue 8 --admit-deadline 400 --retry-budget 1 --retry-base 50 --backpressure
 
 # The runnable examples from docs/WORKLOADS.md "Record & replay", at
 # doc-exact arguments: freeze a stream, replay it verbatim, then a

@@ -126,7 +126,8 @@ def figure5_vrpc(sizes: Optional[Sequence[int]] = None,
     bandwidth counts the argument bytes one way, as the paper does.
     """
     sizes = tuple(sizes or ((4, 16, 64) + BANDWIDTH_SIZES))
-    result = FigureResult("Figure 5", "VRPC latency and bandwidth")
+    result = FigureResult("Figure 5", "VRPC latency and bandwidth",
+                          round_trip=True)
     for name, automatic in (("DU-1copy", False), ("AU-1copy", True)):
         series = _sweep(
             FigureSeries(name), sorted(sizes),
@@ -161,6 +162,7 @@ def figure8_rpc_comparison(sizes: Optional[Sequence[int]] = None,
     result = FigureResult(
         "Figure 8",
         "Round-trip time for null RPC with a single INOUT argument",
+        round_trip=True,
     )
     compatible = FigureSeries("compatible")
     non_compatible = FigureSeries("non-compatible")

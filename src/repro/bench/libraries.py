@@ -2,8 +2,10 @@
 
 Each function boots a fresh prototype system, runs the paper's
 methodology (ping-pong round trips, or a one-way pump), and returns the
-averaged one-way latency in microseconds.  These are the building
-blocks the figure harnesses (:mod:`repro.bench.figures`) sweep.
+averaged latency in microseconds: one-way for the message-passing
+drivers, the round trip for the RPC ones (the paper plots RPC round
+trips).  These are the building blocks the figure harnesses
+(:mod:`repro.bench.figures`) sweep.
 """
 
 from __future__ import annotations

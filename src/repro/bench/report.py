@@ -74,6 +74,8 @@ class FigureResult:
     title: str
     series: List[FigureSeries] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: Whether the latencies are round trips (RPC figures), not one-way.
+    round_trip: bool = False
 
     def series_named(self, name: str) -> FigureSeries:
         """The series with this name (KeyError if absent)."""
@@ -99,7 +101,9 @@ class FigureResult:
                 rows.append(row)
             return [header] + format_table(rows) + [""]
 
-        lines += table(lambda s, n: s.latency_at(n), "one-way latency (us):", "%.2f")
+        lines += table(lambda s, n: s.latency_at(n),
+                       "round-trip time (us):" if self.round_trip
+                       else "one-way latency (us):", "%.2f")
         lines += table(lambda s, n: s.bandwidth_at(n), "bandwidth (MB/s):", "%.2f")
         for note in self.notes:
             lines.append("note: %s" % note)

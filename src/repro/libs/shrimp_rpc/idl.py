@@ -22,7 +22,10 @@ are ``in``, ``out``, ``inout``.
 Parsing produces a typed model with *fixed slot offsets* for every
 parameter — what lets the generated stubs marshal with straight-line
 stores and the runtime place the flag word immediately after the
-argument area (Section 5's buffer layout).
+argument area (Section 5's buffer layout).  Every procedure's parameter
+block is right-aligned to the end of the binding's argument area, so
+the last parameter's slot ends at the call word whichever procedure is
+called.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ class IdlError(Exception):
 
 def _pad4(n: int) -> int:
     return (n + 3) & ~3
+
+
+def var_tail(length: int) -> int:
+    """Bytes a variable-bounded value of ``length`` data bytes uses at
+    the end of its slot: the data, zero pad to a word, then the length
+    word.  At the bound it is the whole slot."""
+    return _pad4(length) + 4
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class IdlType:
         if self.kind == "opaque_fixed":
             return _pad4(self.bound)
         if self.kind in ("opaque_var", "string"):
-            return 4 + _pad4(self.bound)  # length word + bounded payload
+            return var_tail(self.bound)
         if self.kind == "void":
             return 0
         raise IdlError("unknown type kind %r" % self.kind)
@@ -95,7 +105,7 @@ class Param:
     name: str
     type: IdlType
     direction: str
-    offset: int = 0  # fixed slot offset within the argument area
+    offset: int = 0  # fixed slot offset within the binding's argument area
 
     @property
     def is_in(self) -> bool:
@@ -112,7 +122,7 @@ class Procedure:
     proc_id: int
     return_type: IdlType
     params: List[Param]
-    args_bytes: int = 0       # argument area bytes (params only)
+    args_bytes: int = 0       # parameter block bytes (params only)
 
 
 @dataclass
@@ -223,16 +233,19 @@ def parse_idl(text: str) -> Interface:
                 if ptype.kind == "void":
                     raise IdlError("void parameter in %s" % proc_name)
                 params.append(Param(pm.group("name"), ptype, pm.group("dir")))
-        # Fixed slot layout for the parameters.
-        offset = 0
-        for param in params:
-            param.offset = offset
-            offset += param.type.slot_bytes
-        procedure = Procedure(proc_name, proc_id, return_type, params,
-                              args_bytes=offset)
-        procedures.append(procedure)
+        procedures.append(Procedure(
+            proc_name, proc_id, return_type, params,
+            args_bytes=sum(p.type.slot_bytes for p in params)))
     if not procedures:
         raise IdlError("interface %s declares no procedures" % name)
     if len(procedures) > 0xFFFF:
         raise IdlError("too many procedures")
-    return Interface(name, version, procedures)
+    interface = Interface(name, version, procedures)
+    # Fixed slot layout: each parameter block ends where the argument
+    # area does, so its stores run up to the call word.
+    for procedure in procedures:
+        offset = interface.args_area_bytes - procedure.args_bytes
+        for param in procedure.params:
+            param.offset = offset
+            offset += param.type.slot_bytes
+    return interface

@@ -6,14 +6,20 @@ mappings (and automatic-update bindings) between them.
 
 Buffer layout, identical on both sides:
 
-    [argument/result area : frame_bytes][call word][return word]
+    [argument area][call word][result area][return word]
 
 'The buffers are laid out so that the flag is immediately after the
 data, and so that the flag is in the same place for all calls that use
-the same binding.'  The client marshals arguments with consecutive
-stores and writes the call word; for the largest procedure the whole
-thing combines into a single packet, and a null call is literally one
-word.  OUT and INOUT parameters are passed to the server procedure *by
+the same binding.'  Every value is right-aligned: each procedure's
+parameter block ends at the call word, a variable-bounded slot holds
+its data, zero pad to a word and then its length word at the slot's
+end, and a return value ends at the return word.  So the last
+argument's stores run straight into the call word and the combining
+hardware sends them as one packet: a procedure without parameters is
+literally one word, and Figure 8's null call (an empty bounded INOUT)
+is its length word plus the call word.  The server writes a return
+value and the return word as one store, so a short reply is one packet
+too.  OUT and INOUT parameters are passed to the server procedure *by
 reference* — pointers into the server's communication buffer — so
 whatever the procedure writes propagates back to the client by
 automatic update, overlapped with the server's computation; an INOUT
@@ -46,7 +52,7 @@ from ...kernel.process import UserProcess
 from ...kernel.system import ShrimpSystem
 from ...vmmc import VmmcEndpoint, VmmcTimeoutError, attach
 from ..recovery import IDLE_US, MAX_XMIT, bounded_poll, crc32_of, retransmit
-from .idl import IdlType, Interface, Param
+from .idl import IdlType, Interface, Param, var_tail
 
 __all__ = ["SrpcError", "SrpcTimeoutError", "SrpcClientBase", "SrpcServerBase",
            "SrpcTicket", "ParamRef", "pack_scalar", "unpack_scalar"]
@@ -92,7 +98,8 @@ def unpack_scalar(kind: str, raw: bytes):
 
 
 def encode_value(idltype: IdlType, value) -> bytes:
-    """Marshal one value into its slot representation (used bytes only)."""
+    """Marshal one value into the used bytes at the end of its slot:
+    write it so it ends where the slot does."""
     kind = idltype.kind
     if kind in _SCALAR_CODES:
         return pack_scalar(kind, value)
@@ -108,12 +115,13 @@ def encode_value(idltype: IdlType, value) -> bytes:
         data = value.encode("utf-8") if kind == "string" else bytes(value)
         if len(data) > idltype.bound:
             raise SrpcError("value of %d bytes exceeds bound %d" % (len(data), idltype.bound))
-        return struct.pack("<I", len(data)) + data + b"\x00" * (-len(data) % 4)
+        return data + b"\x00" * (-len(data) % 4) + struct.pack("<I", len(data))
     raise SrpcError("cannot encode %s" % idltype.describe())
 
 
 def decode_value(idltype: IdlType, raw: bytes):
-    """Unmarshal one value from its slot bytes."""
+    """Unmarshal one value from bytes that end at its slot's end: the
+    whole slot, or (variable-bounded) just its used tail."""
     kind = idltype.kind
     if kind in _SCALAR_CODES:
         return unpack_scalar(kind, raw)
@@ -124,10 +132,11 @@ def decode_value(idltype: IdlType, raw: bytes):
     if kind == "opaque_fixed":
         return bytes(raw[: idltype.bound])
     if kind in ("opaque_var", "string"):
-        (length,) = struct.unpack_from("<I", raw)
+        (length,) = struct.unpack_from("<I", raw, len(raw) - 4)
         if length > idltype.bound:
             raise SrpcError("corrupt length %d > bound %d" % (length, idltype.bound))
-        data = bytes(raw[4 : 4 + length])
+        start = len(raw) - var_tail(length)
+        data = bytes(raw[start : start + length])
         return data.decode("utf-8") if kind == "string" else data
     raise SrpcError("cannot decode %s" % idltype.describe())
 
@@ -172,9 +181,10 @@ class _SrpcEndpointBase:
         self.ethernet = system.machine.ethernet
         interface = self.IDL
         # Frame layout: [args area][call word][ret area][return word].
-        # Marshaled arguments run right up to the call word, and return
-        # values right up to the return word, so each side's stores form
-        # one ascending stream the combining hardware packs together.
+        # Every value ends at its slot's end, every parameter block at
+        # the call word and every return value at the return word, so
+        # each side's stores form one ascending run the combining
+        # hardware packs together.
         self.call_word_off = interface.args_area_bytes
         self.ret_off = self.call_word_off + 4
         self.return_word_off = self.ret_off + interface.ret_area_bytes
@@ -306,9 +316,10 @@ class SrpcClientBase(_SrpcEndpointBase):
 
         ``writes``: (offset, bytes) argument stores.  The call word is
         appended and everything is coalesced into maximal consecutive
-        streams — arguments that fill the area combine with the flag
-        into a single burst ('all of the arguments and the flag can be
-        combined into a single packet by the client-side hardware').
+        streams — the last argument's used bytes end at the call word,
+        so they combine with the flag into a single burst ('all of the
+        arguments and the flag can be combined into a single packet by
+        the client-side hardware').
         ``ret_bytes``: return-slot bytes to read back (0 for void).
         ``out_reads``: (offset, nbytes, variable) OUT/INOUT slots to
         read back.  Returns [ret_raw?] + out slot bytes, in order.
@@ -438,32 +449,22 @@ class SrpcClientBase(_SrpcEndpointBase):
                 # Everything was read (and CRC-validated) as full
                 # images; slice the slots out instead of re-reading.
                 if ticket.ret_bytes:
-                    out.append(ret_img[: ticket.ret_bytes])
-                for offset, nbytes, variable in ticket.out_reads:
-                    raw = args_img[offset : offset + nbytes]
-                    if variable:
-                        (length,) = struct.unpack_from("<I", raw)
-                        raw = raw[: 4 + min(length, nbytes - 4)]
-                    out.append(raw)
+                    out.append(ret_img[len(ret_img) - ticket.ret_bytes:])
+                for offset, nbytes, _variable in ticket.out_reads:
+                    out.append(args_img[offset : offset + nbytes])
             else:
                 result = yield from proc.poll(
                     self.buf + base + self.return_word_off, 4,
                     lambda b: b in (expected_ok, expected_bad),
                 )
                 if ticket.ret_bytes:
-                    out.append((yield from self._read(self.ret_off,
-                                                      ticket.ret_bytes)))
+                    out.append((yield from self._read(
+                        self.return_word_off - ticket.ret_bytes,
+                        ticket.ret_bytes)))
                 for offset, nbytes, variable in ticket.out_reads:
                     if variable:
-                        # Bounded-variable slot: read the length word,
-                        # then only the bytes actually present (an empty
-                        # INOUT costs one word, not the whole bound).
-                        data = yield from self._read(offset, 4)
-                        (length,) = struct.unpack("<I", data)
-                        length = min(length, nbytes - 4)
-                        if length:
-                            data += yield from self._read(offset + 4,
-                                                          length)
+                        data = yield from _read_tail(self._read,
+                                                     offset + nbytes, nbytes)
                     else:
                         data = yield from self._read(offset, nbytes)
                     out.append(data)
@@ -585,21 +586,21 @@ class ParamRef:
 
     def get(self):
         """Read and decode the parameter's current slot value."""
-        if self._param.type.is_variable:
-            lraw = yield from self._server._read(self._param.offset, 4)
-            (length,) = struct.unpack("<I", lraw)
-            length = min(length, self._param.type.bound)
-            raw = lraw + (yield from self._server._read(self._param.offset + 4, length))
+        param = self._param
+        nbytes = param.type.slot_bytes
+        if param.type.is_variable:
+            raw = yield from _read_tail(self._server._read,
+                                        param.offset + nbytes, nbytes)
         else:
-            raw = yield from self._server._read(
-                self._param.offset, self._param.type.slot_bytes
-            )
-        return decode_value(self._param.type, raw)
+            raw = yield from self._server._read(param.offset, nbytes)
+        return decode_value(param.type, raw)
 
     def set(self, value):
-        """Encode and write the slot (propagates via AU)."""
+        """Encode and write the value so it ends at the slot's end
+        (propagates via AU)."""
         data = encode_value(self._param.type, value)
-        yield from self._server._write(self._param.offset, data)
+        yield from self._server._write(
+            self._param.offset + self._param.type.slot_bytes - len(data), data)
 
 
 class SrpcServerBase(_SrpcEndpointBase):
@@ -709,14 +710,11 @@ class SrpcServerBase(_SrpcEndpointBase):
                     status = _STATUS_NO_PROC
                 else:
                     ret_data = (yield from dispatcher()) or b""
-                # Return value + return word as one coalesced stream: when
-                # the value fills the result area they leave as one packet.
+                # The return value ends at the return word, so the two
+                # leave as one coalesced write.
                 return_word = struct.pack("<I", (seq << 16) | status)
-                writes = [(self.return_word_off, return_word)]
-                if ret_data:
-                    writes.insert(0, (self.ret_off, ret_data))
-                for offset, data in _coalesce(writes):
-                    yield from self._write(offset, data)
+                yield from self._write(self.return_word_off - len(ret_data),
+                                       ret_data + return_word)
                 if self.hardened:
                     yield from self._stamp_frame(frame, return_word)
             finally:
@@ -840,6 +838,20 @@ def _is_new_call(word: int, last_seq: int) -> bool:
     """Whether a frame's call word holds a call not yet served there:
     nonzero, with a sequence number other than the frame's last."""
     return word != 0 and (word >> 16) != last_seq
+
+
+def _read_tail(read, end: int, nbytes: int):
+    """Read the variable-bounded slot of ``nbytes`` ending at ``end``:
+    its length word, then only the data present (an empty value costs
+    one word, not the whole bound).  Returns the value's used tail, as
+    :func:`decode_value` takes it."""
+    lraw = yield from read(end - 4, 4)
+    (length,) = struct.unpack("<I", lraw)
+    length = min(length, nbytes - 4)
+    if not length:
+        return lraw
+    data = yield from read(end - var_tail(length), length)
+    return data + b"\x00" * (-length % 4) + lraw
 
 
 def _coalesce(writes: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:

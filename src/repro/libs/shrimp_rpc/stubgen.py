@@ -5,10 +5,12 @@ for a client stub class and a server skeleton class — 'a stub generator
 that reads an interface definition file and generates code to marshal
 and unmarshal complex data types'.
 
-The generated client marshals every procedure's arguments at their
-fixed slot offsets with straight-line packing, emits them as one
-ascending store stream (which the combining hardware turns into as few
-packets as possible), and reads back only the return slot and the
+The generated client marshals every procedure's arguments into their
+fixed slots with straight-line packing, each value ending at its
+slot's end, and emits them as one ascending store stream.  The
+parameter block ends at the call word, so the stream runs into the
+call word without a gap and the combining hardware sends a short call
+as one packet.  The client reads back only the return slot and the
 OUT/INOUT slots.  Alongside each synchronous method the client also
 gets a ``<name>_begin`` method — the pipelined submit half, returning
 an :class:`~.runtime.SrpcTicket` to redeem with
@@ -42,10 +44,15 @@ def _marshal_lines(proc: Procedure) -> list:
                 % (param.offset, param.type.kind, param.name)
             )
         else:
+            # A value ends at its slot's end (a variable-bounded one
+            # uses only that slot's tail).
             lines.append(
-                "        _writes.append((%d, encode_value(self.IDL.procedure(%r)"
-                ".params[%d].type, %s)))"
-                % (param.offset, proc.name, proc.params.index(param), param.name)
+                "        _v = encode_value(self.IDL.procedure(%r).params[%d].type, %s)"
+                % (proc.name, proc.params.index(param), param.name)
+            )
+            lines.append(
+                "        _writes.append((%d - len(_v), _v))"
+                % (param.offset + param.type.slot_bytes)
             )
     return lines
 

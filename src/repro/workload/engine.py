@@ -178,8 +178,12 @@ def run_workload(spec: WorkloadSpec,
         sampler.install()
 
     # Client-side cooperation: the governor stretches open-loop
-    # inter-arrival gaps while rejections exceed its target fraction.
+    # inter-arrival gaps while rejections exceed its target fraction,
+    # and a request that already waited out the queueing budget
+    # (``admit_deadline_us``) for a free worker is shed undispatched —
+    # a backlog in the dispatch queue is one admission cannot see.
     governor = BackpressureGovernor() if spec.backpressure else None
+    shed_after = spec.admit_deadline_us if spec.backpressure else 0.0
 
     # Staleness accounting (``spec.staleness``): ``expected`` holds the
     # newest dot any client's write has been *acknowledged* at, per key,
@@ -385,6 +389,9 @@ def run_workload(spec: WorkloadSpec,
                         yield from _execute_group(client, batch)
                         continue
                     op, key, size, limit, arrival = item
+                    if shed_after and sim.now - arrival > shed_after:
+                        _account(client, op, None, arrival)
+                        continue
                     status = yield from _execute(client, op, key, size, limit)
                     _account(client, op, status, arrival)
                     if spec.read_repair:

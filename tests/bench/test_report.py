@@ -45,6 +45,15 @@ def test_report_renders_all_series_and_gaps():
     assert "note: a note" in text
 
 
+def test_round_trip_figures_head_their_latency_table_so():
+    figure = make_figure()
+    assert "one-way latency (us):" in figure.report()
+    figure.round_trip = True
+    text = figure.report()
+    assert "round-trip time (us):" in text
+    assert "one-way" not in text
+
+
 def test_format_table_alignment():
     rows = [["a", "bbbb"], ["cccc", "d"]]
     lines = format_table(rows)

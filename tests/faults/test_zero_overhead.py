@@ -50,4 +50,4 @@ def test_vrpc_pingpong_golden():
 
 
 def test_srpc_inout_rtt_golden():
-    assert srpc_inout_rtt(16) == 14.444603773583367
+    assert srpc_inout_rtt(16) == 13.269460916440039

@@ -32,18 +32,22 @@ class TestIdl:
         ]
 
     def test_fixed_offsets(self):
+        # Every parameter block is right-aligned: it ends where the
+        # argument area (touch's 1004 bytes) does, at the call word.
         idl = parse_idl(CALC_IDL)
         add = idl.procedure("add")
-        assert [p.offset for p in add.params] == [0, 4]
+        assert [p.offset for p in add.params] == [996, 1000]
         assert add.args_bytes == 8
         dot = idl.procedure("dot")
-        assert [p.offset for p in dot.params] == [0, 24]
+        assert [p.offset for p in dot.params] == [956, 980]
         assert dot.args_bytes == 48
+        assert [p.offset for p in idl.procedure("touch").params] == [0]
+        assert [p.offset for p in idl.procedure("fill").params] == [992, 1000]
 
     def test_areas_are_max_over_procedures(self):
         idl = parse_idl(CALC_IDL)
         touch = idl.procedure("touch")
-        assert touch.args_bytes == 4 + 1000  # len word + bounded payload
+        assert touch.args_bytes == 1000 + 4  # bounded payload + length word
         assert idl.args_area_bytes == touch.args_bytes
         assert idl.ret_area_bytes == 4 + 64  # greet's string<64> return
 

@@ -163,6 +163,13 @@ def test_codec_roundtrip_every_type():
     for kind, value in samples.items():
         idltype = types[kind]
         raw = encode_value(idltype, value)
-        padded = raw + b"\x00" * (idltype.slot_bytes - len(raw))
-        assert decode_value(idltype, padded) == value
-    assert idl.procedure("many").args_bytes == 4 + 4 + 8 + (4 + 8)
+        # A value ends at its slot's end: whatever precedes it in the
+        # slot (zeros, or a longer value's stale bytes) is ignored.
+        for filler in (0x00, 0xEE):
+            slot = bytes([filler]) * (idltype.slot_bytes - len(raw)) + raw
+            assert decode_value(idltype, slot) == value
+        assert decode_value(idltype, raw) == value
+    # A variable-bounded value is its data, zero pad, then its length.
+    assert encode_value(types["opaque_var"], b"abc") == b"abc\x00\x03\x00\x00\x00"
+    assert encode_value(types["string"], "") == b"\x00" * 4
+    assert idl.procedure("many").args_bytes == 4 + 4 + 8 + (8 + 4)

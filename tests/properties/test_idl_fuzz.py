@@ -72,13 +72,15 @@ def test_random_interfaces_parse_and_compile(idl_text):
 def test_layouts_are_consistent(idl_text):
     interface = parse_idl(idl_text)
     for proc in interface.procedures:
-        offset = 0
+        # Slots are contiguous, and the block ends at the call word.
+        offset = interface.args_area_bytes - proc.args_bytes
+        assert offset >= 0
         for param in proc.params:
             assert param.offset == offset
             assert param.offset % 4 == 0
             assert param.type.slot_bytes % 4 == 0 or param.type.kind in ("void",)
             offset += param.type.slot_bytes
-        assert proc.args_bytes == offset
-        assert proc.args_bytes <= interface.args_area_bytes
+        assert offset == interface.args_area_bytes
+        assert proc.args_bytes == sum(p.type.slot_bytes for p in proc.params)
         assert proc.return_type.slot_bytes <= interface.ret_area_bytes or \
             proc.return_type.kind == "void"

@@ -119,6 +119,34 @@ class TestConservation:
         assert rep.completed + rep.rejected == spec.requests
 
 
+@pytest.mark.parametrize("backpressure", [False, True])
+def test_backpressure_sheds_what_waited_out_the_deadline(backpressure):
+    """Far past the knee the backlog sits in the client's dispatch
+    queue, where admission cannot see it.  With backpressure on, a
+    request that waited longer than ``admit_deadline_us`` for a worker
+    is shed undispatched: it counts as rejected and opens no
+    ``kv.client`` root, and no dispatched request queued longer."""
+    spec = WorkloadSpec(
+        seed=11, requests=300, concurrency=16, load=120_000,
+        cpu_slots=1, cpu_op_us=50.0, slo_latency_us=1000.0,
+        admission=True, admit_queue=8, admit_deadline_us=400.0,
+        retry_budget=1, retry_base_us=50.0, backpressure=backpressure,
+        trace=True)
+    rep = run_workload(spec)
+    roots = [s for s in rep.spans
+             if s.category == "kv.client" and s.parent is None]
+    waits = [s.start - s.data["arrival"] for s in roots
+             if "arrival" in s.data]
+    assert rep.completed + rep.errors + rep.rejected == spec.requests
+    undispatched = spec.requests - len(roots)
+    if backpressure:
+        assert undispatched > 0
+        assert max(waits) <= spec.admit_deadline_us
+    else:
+        assert undispatched == 0
+        assert max(waits) > spec.admit_deadline_us
+
+
 @pytest.mark.slow
 def test_committed_bench_reproduces_from_its_own_config():
     """make capacity-overload-json is deterministic: re-running the
