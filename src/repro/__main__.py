@@ -239,7 +239,6 @@ _SPEC_FLAGS = {
     "--repl-queue-cap": _flag("repl_queue_cap",
                               "bound the replication queues (0 = unbounded; "
                               "full queues drop and count)"),
-    "--tenant": _flag("tenant", "tag every request for per-tenant grouping"),
 }
 
 # The spec flags each subcommand takes.  A recorded stream carries the
@@ -269,7 +268,6 @@ _TRACED_FLAGS = ("--seed --transport --load --concurrency --requests "
                  "--keys --read-fraction --onesided")
 _EXPLAIN_FLAGS = _TRACED_FLAGS + (" --no-telemetry --slo-latency "
                                   "--slo-latency-budget --slo-error-budget")
-_PROFILE_FLAGS = _TRACED_FLAGS + " --tenant"
 
 
 def _add_spec_flags(parser, flags: str, **presets) -> None:
@@ -448,7 +446,7 @@ def _cmd_profile(args) -> int:
     from .obs import build_profile, render_folded
     from .workload import run_workload
 
-    report = run_workload(_spec_from(vars(args), _PROFILE_FLAGS,
+    report = run_workload(_spec_from(vars(args), _TRACED_FLAGS,
                                      arrival="open", trace=True))
     _print_dropped_spans(report)
     profile = build_profile(report.spans or [], metrics=report.metrics,
@@ -667,8 +665,7 @@ def _cmd_serve(args) -> int:
     lines = []
 
     def driver(proc):
-        client = KVClient(service, proc, transport=args.transport,
-                          want_sockets=True)
+        client = KVClient(service, proc, args.transport)
         yield from client.connect()
         status = yield from client.put("demo/alpha", b"first value")
         lines.append("put demo/alpha -> status %d" % status)
@@ -871,7 +868,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="fold a traced workload into a fleet-wide flame profile",
     )
-    _add_spec_flags(profile, _PROFILE_FLAGS, concurrency=4, requests=120,
+    _add_spec_flags(profile, _TRACED_FLAGS, concurrency=4, requests=120,
                     keys=64, read_fraction=0.70)
     profile.add_argument("--folded", default=None, metavar="PATH",
                          help="also write collapsed stacks "

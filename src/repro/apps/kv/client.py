@@ -54,6 +54,7 @@ from ...libs.sockets import SocketLib
 from ...vmmc import VmmcError, VmmcTimeoutError, attach
 from . import protocol as wire
 from .admission import KvRejectedError
+from .config import Consistency, Mitigations, OverloadControl
 from .replication.versions import (
     VERSION_ZERO,
     pack_version,
@@ -89,31 +90,22 @@ class KVClient:
       tickets that ``collect`` finishes in any order, riding the SRPC
       binding's ``window`` (docs/PROTOCOLS.md).
     * batching — ``multi_get`` packs up to ``MULTI_GET_MAX`` keys per
-      shard call on the v2 program (``KVService(batch=True)``).
+      shard call on the v2 program (a service built with
+      ``batch_keys > 1``).
 
     Counters (``ops``, ``misses``, ``cache_hits``, ``spread_reads``,
     ``batch_calls`` ...) feed the workload report's mitigation line.
     """
 
     def __init__(self, service, proc, transport: str = "srpc",
-                 want_sockets: Optional[bool] = None, client_id: int = 0,
-                 cache_keys: int = 0, cache_ttl_us: float = 0.0,
-                 read_spread: bool = False, onesided: bool = False,
-                 onesided_hints: Optional[Dict[int, SlotHints]] = None,
-                 retry_budget: int = 0, retry_base_us: float = 100.0,
-                 retry_jitter: float = 0.5,
-                 consistency: str = "eventual", quorum_r: int = 0,
-                 quorum_w: int = 0, read_repair: bool = False):
-        if transport not in ("srpc", "sockets"):
-            raise ValueError("unknown transport %r" % transport)
-        if consistency not in ("eventual", "session", "quorum"):
-            raise ValueError("unknown consistency mode %r" % consistency)
+                 client_id: int = 0,
+                 mitigations: Mitigations = Mitigations(),
+                 overload: OverloadControl = OverloadControl(),
+                 consistency: Consistency = Consistency()):
         self.service = service
         self.system = service.system
         self.proc = proc
         self.transport = transport
-        self.want_sockets = (transport == "sockets"
-                             if want_sockets is None else want_sockets)
         self.client_id = client_id
         self.track = "n%d.kv.client%d" % (proc.node.node_id, client_id)
         self.endpoint = attach(self.system, proc)
@@ -130,9 +122,9 @@ class KVClient:
         # Mitigation state: the bounded LRU (key -> (value, stored_us)),
         # per-key write epochs, the read-spread rotation counter, and
         # pipelined-write pinning for read-after-write on one client.
-        self.cache_keys = cache_keys
-        self.cache_ttl_us = cache_ttl_us
-        self.read_spread = read_spread
+        self.cache_keys = mitigations.cache_keys
+        self.cache_ttl_us = mitigations.cache_ttl_us
+        self.read_spread = mitigations.read_spread
         self._cache: "OrderedDict[str, Tuple[bytes, float]]" = OrderedDict()
         self._wepoch: Dict[str, int] = {}
         self._rr = 0
@@ -147,11 +139,9 @@ class KVClient:
         # readers over one locally exported reply page.  Populated by
         # connect() when the knob is on and the transport is SRPC; with
         # it off the GET path is byte-identical to the RPC-only client.
-        # ``onesided_hints`` (shard node -> SlotHints) is the host-wide
-        # occupancy cache — pass the same map to every client on a node
-        # so they pool what their reads and writes learn.
-        self.onesided = onesided
-        self._onesided_hints = onesided_hints
+        # The readers share the service's occupancy cache for this
+        # client's host (``KVService.slot_hints``).
+        self.onesided = mitigations.onesided_reads
         self._readers: Dict[int, RegionReader] = {}
         self.onesided_hits = 0
         self.onesided_fallbacks = 0
@@ -161,9 +151,9 @@ class KVClient:
         # deterministic jitter; past the budget the typed
         # :class:`KvRejectedError` surfaces to the caller.  Budget 0
         # (the default) raises on the first rejection.
-        self.retry_budget = retry_budget
-        self.retry_base_us = retry_base_us
-        self.retry_jitter = retry_jitter
+        self.retry_budget = overload.retry_budget
+        self.retry_base_us = overload.retry_base_us
+        self.retry_jitter = overload.retry_jitter
         self._retry_rng = random.Random(0x4B56 * 2654435761
                                         + 1_000_003 * client_id)
         self.rejected = 0
@@ -178,12 +168,12 @@ class KVClient:
         # ack set.  ``read_repair`` queues a versioned overwrite for
         # any replica observed returning a stale dot; the engine
         # flushes the queue *off* the request's latency path.
-        self.consistency = consistency
-        self.read_repair = read_repair
-        self.versioned = getattr(service, "versioned", False)
+        self.consistency = consistency.consistency
+        self.read_repair = consistency.read_repair
+        self.versioned = service.versioned
         majority = service.replicas // 2 + 1
-        self.quorum_r = quorum_r or majority
-        self.quorum_w = quorum_w or majority
+        self.quorum_r = consistency.quorum_r or majority
+        self.quorum_w = consistency.quorum_w or majority
         self._floor: Dict[str, Tuple[int, int]] = {}
         self._floor_node: Dict[str, int] = {}
         self._seen: Dict[str, Tuple[Tuple[int, int], Optional[bytes]]] = {}
@@ -196,8 +186,8 @@ class KVClient:
         self.quorum_reads = 0
         self.quorum_writes = 0
         # The most recent request's root span (tracing on only):
-        # the profiler's ``tag_root`` hook stamps arrival/tenant tags
-        # onto it after the engine records the latency.
+        # the profiler's ``tag_root`` hook stamps the arrival onto it
+        # after the engine records the latency.
         self.last_span = None
 
     # ------------------------------------------------------ connections
@@ -208,6 +198,9 @@ class KVClient:
         The SRPC client class and pipelining window follow the
         service's ``batch``/``srpc_window`` settings, so both sides of
         every binding agree on the interface version and frame layout.
+        A service that runs socket handlers spawned one per client, so
+        the client connects a stream to every shard there (the point-op
+        transport, or the path scans ride beside SHRIMP RPC).
         """
         if self.transport == "srpc":
             client_cls, _server_cls = shard_interface(self.service)
@@ -217,7 +210,7 @@ class KVClient:
                                     window=self.service.srpc_window)
                 yield from client.bind(node, self.service.srpc_port)
                 self.rpc[node] = client
-        if self.want_sockets:
+        if self.service.socket_handlers:
             lib = SocketLib(self.system, self.proc,
                             variant=self.service.socket_variant,
                             endpoint=self.endpoint)
@@ -240,18 +233,16 @@ class KVClient:
         reply = yield from self.endpoint.export_new(
             self.proc.config.page_size)
         reply_vaddr = reply.record.vaddr
+        host_hints = self.service.slot_hints[self.proc.node.node_id]
         for node in self.service.nodes:
             advert = yield self.service.region_rendezvous.get(
                 region_name(node))
             imported = yield from self.endpoint.import_buffer(
                 advert.node_id, advert.export_id)
-            hints = None
-            if self._onesided_hints is not None:
-                hints = self._onesided_hints.setdefault(node, SlotHints())
             self._readers[node] = RegionReader(
                 self.endpoint, imported,
                 advert.format(self.proc.config.page_size), reply_vaddr,
-                hints=hints)
+                hints=host_hints.setdefault(node, SlotHints()))
 
     def shutdown(self):
         """Release every server-side handler this client owns."""

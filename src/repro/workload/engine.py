@@ -9,9 +9,9 @@ to every shard).  Arrivals are either:
   scenario shaped them), independent of completions;
   latency is *completion minus arrival*, so queueing delay shows up in
   the tail and the saturation knee emerges past capacity; or
-* **closed loop** — each worker issues its own sequence back to back
-  (plus optional think time), the classic fixed-concurrency load
-  generator that can never overrun the service.
+* **closed loop** — each worker issues its own sequence back to back,
+  the classic fixed-concurrency load generator that can never overrun
+  the service.
 
 Every run replays a :class:`~repro.workload.RecordedStream`: the one
 it is given, or else ``record_stream(spec)``, so the recorder is the
@@ -52,6 +52,10 @@ from .spec import ValueSizeSampler, WorkloadSpec, key_name, value_bytes
 __all__ = ["run_workload"]
 
 _OPS = ("get", "put", "scan")
+
+#: Simulated time a run's workers, and then its service drain, may take
+#: before the run is declared hung.
+_WATCHDOG_US = 120_000_000.0
 
 #: The client counters the mitigation line and metrics entry sum.
 _MITIGATION_COUNTERS = ("cache_lookups", "cache_hits", "spread_reads",
@@ -127,19 +131,8 @@ def run_workload(spec: WorkloadSpec,
         for node in system.machine.nodes:
             system.machine.metrics.register(node.enable_cpu(spec.cpu_slots))
 
-    service = KVService(system, replicas=spec.replicas,
-                        batch=spec.batch_keys > 1,
-                        srpc_window=spec.pipeline_window,
-                        onesided=spec.onesided_reads,
-                        admission=spec.admission,
-                        admit_queue=spec.admit_queue,
-                        admit_deadline_us=spec.admit_deadline_us,
-                        handler_cpu_us=(spec.cpu_op_us
-                                        if spec.cpu_slots > 0 else 0.0),
-                        versioned=spec.versioned(),
-                        repl_queue_cap=spec.repl_queue_cap,
-                        antientropy=spec.antientropy,
-                        antientropy_interval_us=spec.antientropy_interval_us)
+    service = KVService(system, spec.replicas, mitigations=spec,
+                        overload=spec, consistency=spec)
     prefill = random.Random(spec.seed * 7919 + 13)
     sizes = ValueSizeSampler(spec.value_sizes)
     service.preload({
@@ -242,9 +235,8 @@ def run_workload(spec: WorkloadSpec,
         """Account one finished request: its latency from ``arrival``,
         or a rejection the retry budget could not recover (``status``
         None).  Traced runs stamp the root span with the arrival (a
-        queue wait precedes the span) and the tenant tag, so
-        per-request profile totals equal the recorded latency
-        exactly."""
+        queue wait precedes the span), so per-request profile totals
+        equal the recorded latency exactly."""
         if status is None:
             tally["rejected"] += 1
             if governor is not None:
@@ -252,8 +244,7 @@ def run_workload(spec: WorkloadSpec,
         else:
             _record(op, sim.now - arrival, status)
         if traced:
-            profiling.tag_root(client, arrival=arrival,
-                               tenant=spec.tenant or None)
+            profiling.tag_root(client, arrival=arrival)
         window["end"] = max(window["end"], sim.now)
 
     def _check_value(client, key, status, value):
@@ -336,31 +327,11 @@ def run_workload(spec: WorkloadSpec,
     if spec.mitigated():
         system.machine.metrics.register(_MitigationMetrics())
 
-    # Host-wide slot-occupancy caches for the one-sided bypass: the
-    # workers of one node share what their reads and writes learn about
-    # each shard's region, like any per-host client-library cache.
-    host_hints = ({node: {} for node in range(spec.nodes)}
-                  if spec.onesided_reads else None)
-
     def make_worker(wid):
         def worker(proc):
-            client = KVClient(service, proc, transport=spec.transport,
-                              want_sockets=spec.needs_sockets(),
-                              client_id=wid,
-                              cache_keys=spec.cache_keys,
-                              cache_ttl_us=spec.cache_ttl_us,
-                              read_spread=spec.read_spread,
-                              onesided=spec.onesided_reads,
-                              onesided_hints=(
-                                  host_hints[wid % spec.nodes]
-                                  if host_hints is not None else None),
-                              retry_budget=spec.retry_budget,
-                              retry_base_us=spec.retry_base_us,
-                              retry_jitter=spec.retry_jitter,
-                              consistency=spec.consistency,
-                              quorum_r=spec.quorum_r,
-                              quorum_w=spec.quorum_w,
-                              read_repair=spec.read_repair)
+            client = KVClient(service, proc, spec.transport, wid,
+                              mitigations=spec, overload=spec,
+                              consistency=spec)
             clients.append(client)
             yield from client.connect()
             ready[0] += 1
@@ -405,8 +376,6 @@ def run_workload(spec: WorkloadSpec,
                     _account(client, op, status, issued)
                     if spec.read_repair:
                         yield from client.flush_repairs()
-                    if spec.think_us > 0.0:
-                        yield sim.timeout(spec.think_us)
             yield from client.shutdown()
             return client.stats()
 
@@ -429,9 +398,9 @@ def run_workload(spec: WorkloadSpec,
 
         handles.append(system.spawn(0, arrivals, name="wl-arrivals"))
 
-    system.run_processes(handles, timeout=spec.timeout_us)
+    system.run_processes(handles, timeout=_WATCHDOG_US)
     service.shutdown()
-    system.run_processes(service.handles, timeout=spec.timeout_us)
+    system.run_processes(service.handles, timeout=_WATCHDOG_US)
 
     spec_line = ("workload seed=%d transport=%s arrival=%s load=%g "
                  "concurrency=%d requests=%d keys=%d dist=%s nodes=%d "
@@ -452,9 +421,6 @@ def run_workload(spec: WorkloadSpec,
         # Conditional so eventually-consistent reports stay
         # byte-identical to the zero-regression goldens.
         spec_line += " " + spec.consistency_label()
-    if spec.tenant:
-        # Conditional so untagged reports keep golden-identical lines.
-        spec_line += " tenant=%s" % spec.tenant
     misses = sum(c.misses for c in clients)
     failovers = sum(c.failovers for c in clients)
     corruptions = sum(c.corruptions for c in clients)

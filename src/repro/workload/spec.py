@@ -8,8 +8,7 @@ produces the same request sequence, byte for byte, everywhere.
 The shapes:
 
 * **arrivals** — open-loop Poisson (exponential inter-arrival gaps at
-  the offered load) or closed-loop fixed concurrency with optional
-  think time;
+  the offered load) or closed-loop fixed concurrency;
 * **key popularity** — Zipf(s) over the keyspace (rank 1 hottest) or
   uniform, sampled by inverse CDF from a precomputed table;
 * **operation mix** — read fraction, scan fraction, remainder writes;
@@ -25,10 +24,12 @@ from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 from ..apps.kv import protocol as wire
+from ..apps.kv.config import Consistency, Mitigations, OverloadControl
 
 __all__ = [
-    "WorkloadSpec", "KeySampler", "ValueSizeSampler",
-    "exponential_gap_us", "key_name", "value_bytes",
+    "Keyspace", "Observability", "Traffic", "WorkloadSpec",
+    "KeySampler", "ValueSizeSampler", "exponential_gap_us", "key_name",
+    "value_bytes",
 ]
 
 #: (value size in bytes, relative weight) — a small-object serving mix.
@@ -120,125 +121,17 @@ class ValueSizeSampler:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Everything that defines one workload run (hashable, replayable)."""
+class Traffic:
+    """Transport and arrival: how requests reach the service."""
 
-    seed: int = 1
     transport: str = "srpc"          # "srpc" | "sockets"
     arrival: str = "open"            # "open" | "closed"
     load: float = 20000.0            # offered ops/s (open loop)
     concurrency: int = 8             # worker processes (both loops)
     requests: int = 400              # total requests in the run
-    read_fraction: float = 0.90
-    scan_fraction: float = 0.0       # scans ride the socket transport
-    scan_limit: int = 8
-    keys: int = 200
-    key_distribution: str = "zipf"   # "zipf" | "uniform"
-    zipf_s: float = 1.1
-    value_sizes: Tuple[Tuple[int, float], ...] = DEFAULT_VALUE_SIZES
     nodes: int = 4                   # 4 (2x2 prototype) or 16 (4x4)
-    replicas: int = 2
-    think_us: float = 0.0            # closed-loop think time
-    trace: bool = False              # record kv.client spans
-    timeout_us: float = 120_000_000.0
-    # Telemetry / SLO knobs (all default off — with them off the run,
-    # its wire traffic, and its report are byte-identical to the
-    # pre-telemetry engine, which the zero-regression goldens pin):
-    telemetry: bool = False          # run the time-series sampler
-    telemetry_interval_us: float = 500.0
-    slo_latency_us: float = 0.0      # per-request "slow" threshold
-    slo_latency_budget: float = 0.0  # allowed slow fraction (0 = off)
-    slo_error_budget: float = 0.0    # allowed error fraction (0 = off)
-    # Serving-stack mitigation knobs (all default off — the defaults
-    # reproduce the unmitigated engine byte for byte):
-    pipeline_window: int = 1         # SRPC multi-call window per binding
-    batch_keys: int = 1              # >1 groups GETs into multi_get calls
-    cache_keys: int = 0              # client LRU entries (0 = off)
-    cache_ttl_us: float = 0.0        # cache entry lifetime (0 = no TTL)
-    read_spread: bool = False        # rotate reads over the replica set
-    onesided_reads: bool = False     # GETs bypass the server over VMMC
-    # Overload-control knobs (docs/OVERLOAD.md; all default off — the
-    # defaults reproduce the uncontrolled engine byte for byte):
-    cpu_slots: int = 0               # per-node CPU scheduler slots (0 = off)
-    cpu_op_us: float = 10.0          # handler CPU per op once cpu_slots > 0
-    admission: bool = False          # server-side admission control
-    admit_queue: int = 32            # bounded accept-queue occupancy
-    admit_deadline_us: float = 0.0   # queueing-delay budget (0 = no deadline)
-    retry_budget: int = 0            # client retries after a rejection
-    retry_base_us: float = 100.0     # backoff base (doubles per attempt)
-    retry_jitter: float = 0.5        # jitter fraction on each backoff
-    backpressure: bool = False       # adaptive open-loop rate trimming
-    # Replica-correctness knobs (docs/REPLICATION.md; all default off —
-    # the defaults reproduce the eventually-consistent engine byte for
-    # byte, which the zero-regression goldens pin):
-    consistency: str = "eventual"    # "eventual" | "session" | "quorum"
-    quorum_r: int = 0                # read quorum size (0 = majority)
-    quorum_w: int = 0                # write quorum size (0 = majority)
-    read_repair: bool = False        # repair stale replicas off-path
-    staleness: bool = False          # measure the stale-read rate
-    antientropy: bool = False        # background Merkle sweeper
-    antientropy_interval_us: float = 2000.0  # gap between sweeps
-    repl_queue_cap: int = 0          # bound replication queues (0 = inf)
-    # Profiling tag (docs/OBSERVABILITY.md "Profiles & diffs"; default
-    # off — the empty tenant adds nothing to spans or the spec line,
-    # so untagged reports stay byte-identical to the goldens):
-    tenant: str = ""                 # label traced requests for grouping
 
-    def mitigated(self) -> bool:
-        """Whether any hot-key/pipelining mitigation knob is non-default."""
-        return (self.pipeline_window > 1 or self.batch_keys > 1
-                or self.cache_keys > 0 or self.read_spread
-                or self.onesided_reads)
-
-    def mitigation_label(self) -> str:
-        """The spec-line suffix describing the enabled mitigations."""
-        return ("pipeline=%d batch=%d cache=%d ttl=%g spread=%d onesided=%d"
-                % (self.pipeline_window, self.batch_keys, self.cache_keys,
-                   self.cache_ttl_us, int(self.read_spread),
-                   int(self.onesided_reads)))
-
-    def telemetry_label(self) -> str:
-        """The spec-line suffix describing the telemetry configuration."""
-        return ("telemetry interval=%g slo_lat=%g lat_budget=%g "
-                "err_budget=%g"
-                % (self.telemetry_interval_us, self.slo_latency_us,
-                   self.slo_latency_budget, self.slo_error_budget))
-
-    def overloaded(self) -> bool:
-        """Whether any overload-control knob is non-default."""
-        return (self.cpu_slots > 0 or self.admission
-                or self.retry_budget > 0 or self.backpressure)
-
-    def overload_label(self) -> str:
-        """The spec-line suffix describing the overload configuration."""
-        return ("overload cpu=%d op_us=%g admission=%d queue=%d "
-                "deadline=%g retry=%d base=%g jitter=%g backpressure=%d"
-                % (self.cpu_slots, self.cpu_op_us, int(self.admission),
-                   self.admit_queue, self.admit_deadline_us,
-                   self.retry_budget, self.retry_base_us, self.retry_jitter,
-                   int(self.backpressure)))
-
-    def versioned(self) -> bool:
-        """Whether the run needs the v3 (versioned) shard interface."""
-        return (self.consistency != "eventual" or self.read_repair
-                or self.staleness)
-
-    def consistent(self) -> bool:
-        """Whether any replica-correctness knob is non-default."""
-        return (self.versioned() or self.antientropy
-                or self.repl_queue_cap > 0)
-
-    def consistency_label(self) -> str:
-        """The spec-line suffix describing the consistency configuration."""
-        return ("consistency=%s r=%d w=%d repair=%d staleness=%d "
-                "antientropy=%d ae_interval=%g repl_cap=%d"
-                % (self.consistency, self.quorum_r, self.quorum_w,
-                   int(self.read_repair), int(self.staleness),
-                   int(self.antientropy), self.antientropy_interval_us,
-                   self.repl_queue_cap))
-
-    def validate(self) -> None:
-        """Raise ValueError on an inconsistent spec."""
+    def __post_init__(self) -> None:
         if self.transport not in ("srpc", "sockets"):
             raise ValueError("unknown transport %r" % self.transport)
         if self.arrival not in ("open", "closed"):
@@ -250,28 +143,48 @@ class WorkloadSpec:
             raise ValueError("concurrency must be >= 1")
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
+        if self.arrival == "open" and self.load <= 0.0:
+            raise ValueError("open-loop load must be positive")
+
+
+@dataclass(frozen=True)
+class Keyspace:
+    """Keys and values: the operation mix and what it touches."""
+
+    read_fraction: float = 0.90
+    scan_fraction: float = 0.0       # scans ride the socket transport
+    scan_limit: int = 8
+    keys: int = 200
+    key_distribution: str = "zipf"   # "zipf" | "uniform"
+    zipf_s: float = 1.1
+    value_sizes: Tuple[Tuple[int, float], ...] = DEFAULT_VALUE_SIZES
+
+    def __post_init__(self) -> None:
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
         if not 0.0 <= self.scan_fraction <= 1.0 - self.read_fraction:
             raise ValueError("scan_fraction must fit beside read_fraction")
-        if self.arrival == "open" and self.load <= 0.0:
-            raise ValueError("open-loop load must be positive")
-        if not 1 <= self.pipeline_window <= 64:
-            raise ValueError("pipeline_window must be in [1, 64]")
-        if not 1 <= self.batch_keys <= wire.MULTI_GET_MAX:
-            raise ValueError("batch_keys must be in [1, %d]"
-                             % wire.MULTI_GET_MAX)
-        if self.cache_keys < 0:
-            raise ValueError("cache_keys must be >= 0")
-        if self.cache_ttl_us < 0.0:
-            raise ValueError("cache_ttl_us must be >= 0")
-        if (self.pipeline_window > 1 or self.batch_keys > 1) \
-                and self.transport != "srpc":
-            raise ValueError("pipelining and batching need the srpc "
-                             "transport")
-        if self.onesided_reads and self.transport != "srpc":
-            raise ValueError("one-sided reads need the srpc transport "
-                             "(their fallback path)")
+        KeySampler(self.keys, self.key_distribution, self.zipf_s)
+        ValueSizeSampler(self.value_sizes)
+
+
+@dataclass(frozen=True)
+class Observability:
+    """Spans, the time-series sampler and its SLO budgets.
+
+    All default off: with them off the run, its wire traffic and its
+    report are byte-identical to the pre-telemetry engine, which the
+    zero-regression goldens pin.
+    """
+
+    trace: bool = False              # record kv.client spans
+    telemetry: bool = False          # run the time-series sampler
+    telemetry_interval_us: float = 500.0
+    slo_latency_us: float = 0.0      # per-request "slow" threshold
+    slo_latency_budget: float = 0.0  # allowed slow fraction (0 = off)
+    slo_error_budget: float = 0.0    # allowed error fraction (0 = off)
+
+    def __post_init__(self) -> None:
         if self.telemetry_interval_us <= 0.0:
             raise ValueError("telemetry_interval_us must be positive")
         if self.slo_latency_us < 0.0:
@@ -281,35 +194,52 @@ class WorkloadSpec:
                 raise ValueError("SLO budgets must be 0 (off) or in (0, 1)")
         if self.slo_latency_budget > 0.0 and self.slo_latency_us <= 0.0:
             raise ValueError("slo_latency_budget needs slo_latency_us")
-        if self.cpu_slots < 0:
-            raise ValueError("cpu_slots must be >= 0")
-        if self.cpu_op_us < 0.0:
-            raise ValueError("cpu_op_us must be >= 0")
-        if self.admit_queue < 1:
-            raise ValueError("admit_queue must be >= 1")
-        if self.admit_deadline_us < 0.0:
-            raise ValueError("admit_deadline_us must be >= 0")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        if self.retry_base_us <= 0.0:
-            raise ValueError("retry_base_us must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError("retry_jitter must be in [0, 1]")
-        if (self.admission or self.retry_budget > 0 or self.backpressure) \
-                and (self.pipeline_window > 1 or self.batch_keys > 1):
+
+    def telemetry_label(self) -> str:
+        """The spec-line suffix describing the telemetry configuration."""
+        return ("telemetry interval=%g slo_lat=%g lat_budget=%g "
+                "err_budget=%g"
+                % (self.telemetry_interval_us, self.slo_latency_us,
+                   self.slo_latency_budget, self.slo_error_budget))
+
+
+@dataclass(frozen=True)
+class WorkloadSpec(Traffic, Keyspace, Mitigations, OverloadControl,
+                   Consistency, Observability):
+    """Everything that defines one workload run (hashable, replayable).
+
+    The composition of one group per concern by dataclass inheritance:
+    every group field is a flat field of the spec (its constructor,
+    ``replace()`` and ``asdict()`` take and give them by name), and the
+    spec can be passed wherever a group is wanted.  Each group checks
+    its own ranges when the spec is built; :meth:`validate` checks the
+    rules that tie one group to another.
+    """
+
+    seed: int = 1
+    replicas: int = 2
+
+    def __post_init__(self) -> None:
+        for group in WorkloadSpec.__bases__:
+            group.__post_init__(self)
+
+    def validate(self) -> None:
+        """Raise ValueError on knobs of different groups that conflict."""
+        grouped = self.pipeline_window > 1 or self.batch_keys > 1
+        if grouped and self.transport != "srpc":
+            raise ValueError("pipelining and batching need the srpc "
+                             "transport")
+        if self.onesided_reads and self.transport != "srpc":
+            raise ValueError("one-sided reads need the srpc transport "
+                             "(their fallback path)")
+        if grouped and (self.admission or self.retry_budget > 0
+                        or self.backpressure):
             raise ValueError("overload control composes with the plain "
                              "request path only (pipeline_window=1, "
                              "batch_keys=1)")
         if self.backpressure and self.arrival != "open":
             raise ValueError("backpressure governs the open-loop arrival "
                              "process only")
-        if self.consistency not in ("eventual", "session", "quorum"):
-            raise ValueError("unknown consistency mode %r"
-                             % self.consistency)
-        if self.quorum_r < 0 or self.quorum_w < 0:
-            raise ValueError("quorum_r/quorum_w must be >= 0")
-        if (self.quorum_r or self.quorum_w) and self.consistency != "quorum":
-            raise ValueError("quorum_r/quorum_w apply to quorum mode only")
         if self.consistency == "quorum":
             majority = self.replicas // 2 + 1
             r = self.quorum_r or majority
@@ -323,7 +253,7 @@ class WorkloadSpec:
             if self.transport != "srpc":
                 raise ValueError("consistency modes need the srpc "
                                  "transport (the v3 shard interface)")
-            if self.pipeline_window > 1 or self.batch_keys > 1:
+            if grouped:
                 raise ValueError("consistency modes compose with the "
                                  "plain request path only "
                                  "(pipeline_window=1, batch_keys=1)")
@@ -335,15 +265,6 @@ class WorkloadSpec:
                 raise ValueError("the client cache serves unversioned "
                                  "values; disable it with consistency "
                                  "modes")
-        if self.antientropy_interval_us <= 0.0:
-            raise ValueError("antientropy_interval_us must be positive")
-        if self.repl_queue_cap < 0:
-            raise ValueError("repl_queue_cap must be >= 0")
-        if ";" in self.tenant or any(c.isspace() for c in self.tenant):
-            raise ValueError("tenant must contain no whitespace or ';' "
-                             "(it becomes a folded-stack frame)")
-        KeySampler(self.keys, self.key_distribution, self.zipf_s)
-        ValueSizeSampler(self.value_sizes)
 
     def needs_sockets(self) -> bool:
         """Whether workers must open stream sockets (transport or scans)."""

@@ -15,16 +15,22 @@ some replicas stale) observed through each of the three client modes:
 import pytest
 
 from repro.apps.kv import KVClient, KVService, ST_MISS, ST_OK
+from repro.apps.kv.config import Consistency, Mitigations
 from repro.testbed import make_system
 
 KEYS = ["c/%02d" % i for i in range(20)]
 
 
-def boot_lossy(**kv_kwargs):
+#: Read repair serves version dots, so a service built with it speaks
+#: the versioned interface every client mode below needs.
+VERSIONED = Consistency(read_repair=True)
+
+
+def boot_lossy():
     """A versioned service whose replication queue drops under bursts."""
     system = make_system()
-    service = KVService(system, replicas=2, versioned=True,
-                        repl_queue_cap=1, **kv_kwargs)
+    service = KVService(system, 2, consistency=Consistency(
+        read_repair=True, repl_queue_cap=1))
     service.start(srpc_handlers=1)
     return system, service
 
@@ -55,8 +61,9 @@ def test_eventual_spread_detects_and_repairs_stale_replicas():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          read_spread=True, read_repair=True)
+        client = KVClient(service, proc,
+                          mitigations=Mitigations(read_spread=True),
+                          consistency=VERSIONED)
         yield from client.connect()
         yield from write_burst(client)
         # Two spread reads per key visit both replicas; any replica
@@ -87,8 +94,9 @@ def test_session_mode_reads_your_writes_over_stale_replicas():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          read_spread=True, consistency="session")
+        client = KVClient(service, proc,
+                          mitigations=Mitigations(read_spread=True),
+                          consistency=Consistency(consistency="session"))
         yield from client.connect()
         yield from write_burst(client)
         wrong = 0
@@ -114,8 +122,8 @@ def test_quorum_mode_serves_zero_stale_reads():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          consistency="quorum")
+        client = KVClient(service, proc,
+                          consistency=Consistency(consistency="quorum"))
         yield from client.connect()
         yield from write_burst(client)
         wrong = 0
@@ -139,8 +147,8 @@ def test_quorum_delete_wins_and_misses_everywhere():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          consistency="quorum")
+        client = KVClient(service, proc,
+                          consistency=Consistency(consistency="quorum"))
         yield from client.connect()
         assert (yield from client.put("gone", b"soon")) == ST_OK
         assert (yield from client.delete("gone")) == ST_OK
@@ -158,15 +166,15 @@ def test_quorum_delete_wins_and_misses_everywhere():
 
 def test_unknown_consistency_mode_is_rejected():
     system = make_system()
-    service = KVService(system, replicas=2, versioned=True)
+    service = KVService(system, 2, consistency=VERSIONED)
     service.start(srpc_handlers=1)
 
     def program(proc):
         with pytest.raises(ValueError):
-            KVClient(service, proc, transport="srpc",
-                     consistency="linearizable")
+            KVClient(service, proc,
+                     consistency=Consistency(consistency="linearizable"))
         # A well-formed client still works, and retires the handlers.
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         yield from client.shutdown()
 

@@ -10,6 +10,7 @@ one per request served only after skipping a connection already struck.
 """
 
 from repro.apps.kv import KVClient, KVService, ST_ERROR, ST_MISS, ST_OK
+from repro.apps.kv.config import Consistency, Mitigations
 from repro.testbed import make_system
 from repro.vmmc import VmmcError
 
@@ -33,12 +34,14 @@ class Broken:
         return fail
 
 
-def run(body, transport="srpc", client_kwargs=None, **kv_kwargs):
+def run(body, transport="srpc", replicas=2, mitigations=Mitigations(),
+        consistency=Consistency()):
     """Run ``body(client, service, out)`` in one client; return
     ``(out, stats)``.  Server handlers of struck nodes never see a
     ``stop``, so the service is not drained."""
     system = make_system()
-    service = KVService(system, **kv_kwargs)
+    service = KVService(system, replicas, mitigations=mitigations,
+                        consistency=consistency)
     sockets = transport == "sockets"
     service.start(srpc_handlers=0 if sockets else 1,
                   socket_handlers=1 if sockets else 0)
@@ -46,8 +49,8 @@ def run(body, transport="srpc", client_kwargs=None, **kv_kwargs):
     out = []
 
     def program(proc):
-        client = KVClient(service, proc, transport=transport,
-                          **(client_kwargs or {}))
+        client = KVClient(service, proc, transport,
+                          consistency=consistency)
         yield from client.connect()
         yield from body(client, service, out)
         yield from client.shutdown()
@@ -124,7 +127,8 @@ def test_pipelined_ops_count_like_synchronous_ones():
         out.append(((yield from client.put(keys[1], b"y")), None))
         out.append(((yield from client.delete(keys[2])), None))
 
-    piped, piped_stats = run(pipelined, srpc_window=4)
+    piped, piped_stats = run(pipelined,
+                             mitigations=Mitigations(pipeline_window=4))
     plain, plain_stats = run(synchronous)
     assert piped == plain == [(ST_OK, b"v1"), (ST_OK, None), (ST_OK, None)]
     assert piped_stats["failovers"] == plain_stats["failovers"] > 0
@@ -140,7 +144,7 @@ def test_pipelined_submit_failure_moves_to_the_next_replica():
         for handle in handles:
             out.append((yield from client.collect(handle)))
 
-    out, stats = run(body, srpc_window=4)
+    out, stats = run(body, mitigations=Mitigations(pipeline_window=4))
     assert out == [(ST_OK, b"v1"), (ST_OK, None)]
     assert stats["failovers"] == 2  # the strike, then one skip
 
@@ -152,7 +156,7 @@ def test_lost_ticket_retries_through_the_walk():
         handle = yield from client.get_begin("k1")
         out.append((yield from client.collect(handle)))
 
-    out, stats = run(body, srpc_window=4)
+    out, stats = run(body, mitigations=Mitigations(pipeline_window=4))
     assert out == [(ST_OK, b"v1")]
     assert stats["ops"] == 1
     assert stats["failovers"] == 2  # the lost ticket, then the skip
@@ -166,8 +170,8 @@ def test_quorum_walk_collects_r_answers_past_a_struck_replica():
         out.append((yield from client.delete("k1")))
         out.append((yield from client.get("k1")))
 
-    out, stats = run(body, versioned=True, replicas=3,
-                     client_kwargs={"consistency": "quorum"})
+    out, stats = run(body, replicas=3,
+                     consistency=Consistency(consistency="quorum"))
     assert out == [ST_OK, (ST_OK, b"q"), ST_OK, (ST_MISS, None)]
     assert stats["failovers"] == 4
     assert stats["errors"] == 0
@@ -180,8 +184,8 @@ def test_quorum_falls_short_when_too_few_replicas_answer():
         out.append((yield from client.put("k1", b"q")))
         out.append((yield from client.get("k1")))
 
-    out, stats = run(body, versioned=True, replicas=3,
-                     client_kwargs={"consistency": "quorum"})
+    out, stats = run(body, replicas=3,
+                     consistency=Consistency(consistency="quorum"))
     assert out == [ST_ERROR, (ST_ERROR, None)]
     assert stats["errors"] == 2
 
@@ -195,7 +199,7 @@ def test_batched_read_falls_back_to_per_key_walks():
                                   ["multi_get", "get", "stop"])
         out.append((yield from client.multi_get(keys)))
 
-    out, stats = run(body, batch=True)
+    out, stats = run(body, mitigations=Mitigations(batch_keys=4))
     assert out == [[(ST_OK, b"v%d" % i) for i in range(8)]]
     assert stats["failovers"] >= 1
     assert stats["errors"] == 0

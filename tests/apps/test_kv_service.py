@@ -1,8 +1,6 @@
 """End-to-end tests of the sharded KV service: both transports,
 replication fan-out over NX, failover under an armed fault plan."""
 
-import pytest
-
 from repro.apps.kv import KVClient, KVService, ST_ERROR, ST_MISS, ST_OK
 from repro.sim.faults import FaultPlan
 from repro.testbed import make_system
@@ -30,7 +28,7 @@ def test_srpc_put_get_delete_roundtrip():
     seen = {}
 
     def client_program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         status = yield from client.put("alpha", b"value-alpha")
         seen["put"] = status
@@ -58,8 +56,7 @@ def test_socket_transport_and_scan():
     seen = {}
 
     def client_program(proc):
-        client = KVClient(service, proc, transport="sockets",
-                          want_sockets=True)
+        client = KVClient(service, proc, "sockets")
         yield from client.connect()
         status, value = yield from client.get("pre/004")
         seen["get"] = (status, bytes(value))
@@ -83,7 +80,7 @@ def test_replication_reaches_replicas_and_reduce_totals():
     system, service = boot(replicas=2)
 
     def client_program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         for i in range(6):
             status = yield from client.put("rep/%d" % i, b"payload-%d" % i)
@@ -109,7 +106,7 @@ def test_concurrent_clients_each_get_a_handler():
 
     def make_client(cid):
         def client_program(proc):
-            client = KVClient(service, proc, transport="srpc", client_id=cid)
+            client = KVClient(service, proc, client_id=cid)
             yield from client.connect()
             status = yield from client.put("c%d" % cid, b"x" * (cid + 1))
             results.append(status)
@@ -129,7 +126,7 @@ def test_faulted_run_completes_with_failover():
     tally = {"done": 0, "errors": 0}
 
     def client_program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         for i in range(12):
             key = "f/%d" % i
@@ -152,9 +149,3 @@ def test_faulted_run_completes_with_failover():
     assert service.repl_applied_total is None
     assert stats["failovers"] == tally["errors"] or stats["failovers"] >= 0
 
-
-def test_service_rejects_admission_with_batching():
-    """Like ``WorkloadSpec.validate``: a batch shares one CPU dispatch,
-    so admission control cannot shed its keys one by one."""
-    with pytest.raises(ValueError, match="admission"):
-        KVService(make_system(), batch=True, admission=True)

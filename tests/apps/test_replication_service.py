@@ -19,13 +19,17 @@ service:
 import random
 
 from repro.apps.kv import KVClient, KVService, ST_OK
+from repro.apps.kv.config import Consistency
 from repro.sim.faults import Fault, FaultPlan, FaultKind, FaultSite
 from repro.testbed import make_system
 
 
-def boot(fault_plan=None, **kv_kwargs):
+def boot(fault_plan=None, **knobs):
+    """A two-replica service on the versioned interface (read repair
+    serves version dots), with the given consistency ``knobs``."""
     system = make_system(fault_plan=fault_plan)
-    service = KVService(system, **kv_kwargs)
+    service = KVService(system, 2, consistency=Consistency(
+        read_repair=True, **knobs))
     service.start(srpc_handlers=1)
     return system, service
 
@@ -43,7 +47,7 @@ def make_burst(service, writes):
     """A client program performing ``writes`` (key, value) puts."""
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         for key, value in writes:
             status = yield from client.put(key, value)
@@ -77,7 +81,7 @@ BURST_KEYS = sorted({k for k, _ in BURST})
 def test_bounded_queue_overflow_drops_visibly_and_diverges():
     """A full replication queue loses records, but never silently:
     the drop is counted per origin and exported as a registry row."""
-    system, service = boot(replicas=2, versioned=True, repl_queue_cap=1)
+    system, service = boot(repl_queue_cap=1)
     drive(system, service, [(0, make_burst(service, BURST))])
 
     drops = sum(service.repl_drops.values())
@@ -93,8 +97,8 @@ def test_bounded_queue_overflow_drops_visibly_and_diverges():
 def test_antientropy_repairs_queue_overflow_drops():
     """The same burst with the sweeper armed ends converged: every
     dropped record is re-shipped and the pair digests agree."""
-    system, service = boot(replicas=2, versioned=True, repl_queue_cap=1,
-                           antientropy=True, antientropy_interval_us=500.0)
+    system, service = boot(repl_queue_cap=1, antientropy=True,
+                           antientropy_interval_us=500.0)
     drive(system, service, [(0, make_burst(service, BURST))])
 
     assert sum(service.repl_drops.values()) > 0
@@ -130,8 +134,7 @@ def test_replica_crash_torture_converges_on_every_seed():
             kind=FaultKind.CRASH,
             params={"node": rng.randrange(4),
                     "duration_us": rng.uniform(500.0, 4000.0)})])
-        system, service = boot(fault_plan=plan, replicas=2, versioned=True,
-                               antientropy=True,
+        system, service = boot(fault_plan=plan, antientropy=True,
                                antientropy_interval_us=500.0)
         drive(system, service, [(0, make_burst(service, writes))])
 

@@ -88,12 +88,6 @@ class TestCli:
             stack, value = line.rsplit(" ", 1)
             assert int(value) > 0
 
-    def test_profile_tenant_flag(self, capsys):
-        assert main(["profile", "--seed", "7", "--requests", "40",
-                     "--load", "20000", "--tenant", "gold"]) == 0
-        out = capsys.readouterr().out
-        assert "tenant:gold" in out
-
     def test_diff_stream_command(self, capsys, tmp_path):
         stream = tmp_path / "stream.json"
         assert main(["record", "--out", str(stream), "--seed", "11",

@@ -18,7 +18,7 @@ def _profile(per_request_stages):
         full = {s: stages.get(s, 0.0) for s in PROFILE_STAGES}
         total = sum(full.values())
         profile.requests.append(RequestProfile(
-            tid=i + 1, op="get", tenant="", total_us=total,
+            tid=i + 1, op="get", total_us=total,
             dispatch_us=full["queueing"], stages=full))
         profile.total_us += total
         for stage, us in full.items():

@@ -1,4 +1,4 @@
-"""Fleet-wide profile folding: conservation, tenants, rendering.
+"""Fleet-wide profile folding: conservation, tagging, rendering.
 
 The profiler's core contract (docs/OBSERVABILITY.md, "Profiles &
 diffs"): per-request stage decompositions are an *exact* partition of
@@ -23,18 +23,18 @@ from repro.workload import WorkloadSpec, run_workload
 
 
 @functools.lru_cache(maxsize=None)
-def traced_run(tenant="", onesided=False, seed=7, load=20000.0):
+def traced_run(onesided=False, seed=7, load=20000.0):
     """One cached traced workload run per configuration."""
     spec = WorkloadSpec(
         seed=seed, transport="srpc", load=load, concurrency=4,
         requests=60, keys=48, read_fraction=0.7, trace=True,
-        tenant=tenant, onesided_reads=onesided)
+        onesided_reads=onesided)
     return run_workload(spec)
 
 
 @functools.lru_cache(maxsize=None)
-def traced_profile(tenant="", onesided=False, seed=7):
-    report = traced_run(tenant=tenant, onesided=onesided, seed=seed)
+def traced_profile(onesided=False, seed=7):
+    report = traced_run(onesided=onesided, seed=seed)
     return build_profile(report.spans, metrics=report.metrics)
 
 
@@ -155,29 +155,6 @@ def test_render_flame_respects_max_lines():
     assert "stacks folded" in lines[-1]
 
 
-# -------------------------------------------------------------- tenants
-
-
-def test_tenant_tag_groups_requests_and_prefixes_stacks():
-    profile = traced_profile(tenant="gold")
-    assert set(profile.tenants()) == {"gold"}
-    assert all(r.tenant == "gold" for r in profile.requests)
-    assert all(stack.startswith("tenant:gold;")
-               for stack in profile.folded)
-    assert "per-tenant stage means" in profile.report()
-
-
-def test_tenant_tag_appears_in_the_spec_line_only_when_set():
-    assert "tenant=gold" in traced_run(tenant="gold").spec_line
-    assert "tenant" not in traced_run().spec_line
-
-
-def test_untagged_profile_has_no_tenant_section():
-    profile = traced_profile()
-    assert set(profile.tenants()) == {""}
-    assert "per-tenant stage means" not in profile.report()
-
-
 # ------------------------------------------------------------- tag_root
 
 
@@ -186,13 +163,12 @@ class _FakeClient:
         self.last_span = span
 
 
-def test_tag_root_stamps_arrival_and_tenant():
+def test_tag_root_stamps_arrival():
     span = Span(1, None, "kv.client", "get", "n0.cpu.p1", 10.0, 50.0,
                 data={"tid": 1})
     client = _FakeClient(span)
-    tag_root(client, arrival=4.0, tenant="t0")
-    assert span.data["arrival"] == 4.0
-    assert span.data["tenant"] == "t0"
+    tag_root(client, arrival=4.0)
+    assert span.data == {"tid": 1, "arrival": 4.0}
     assert client.last_span is None    # cleared: no stale reuse
 
 
@@ -207,7 +183,7 @@ def test_tag_root_rejects_an_arrival_after_span_start():
 
 def test_tag_root_tolerates_a_missing_root():
     client = _FakeClient(None)
-    tag_root(client, arrival=1.0, tenant="t")   # must not raise
+    tag_root(client, arrival=1.0)      # must not raise
     assert client.last_span is None
 
 
@@ -221,7 +197,7 @@ def _synthetic_spans():
              data={"tid": 1, "arrival": 0.0}),
         Span(2, 1, "srpc.call", "kv.get", "n0.cpu.p1", 10.0, 90.0),
         Span(3, None, "kv.client", "put", "n0.cpu.p2", 50.0, 130.0,
-             data={"tid": 2, "arrival": 30.0, "tenant": "bulk"}),
+             data={"tid": 2, "arrival": 30.0}),
     ]
 
 
@@ -233,7 +209,6 @@ def test_synthetic_trees_fold_with_exact_conservation():
     assert by_tid[1].total_us == 100.0           # no dispatch wait
     assert by_tid[2].total_us == 100.0           # 20 us wait + 80 us span
     assert by_tid[2].dispatch_us == 20.0
-    assert by_tid[2].tenant == "bulk"
 
 
 def test_open_root_trees_are_skipped_not_crashed():

@@ -33,11 +33,8 @@ def span_forest(draw):
         start = draw(st.floats(min_value=0.0, max_value=1000.0))
         length = draw(st.floats(min_value=0.5, max_value=500.0))
         wait = draw(st.floats(min_value=0.0, max_value=50.0))
-        tenant = draw(st.sampled_from(["", "gold", "bulk"]))
         sid += 1
         data = {"tid": tid, "arrival": start - wait}
-        if tenant:
-            data["tenant"] = tenant
         root = Span(sid, None, "kv.client",
                     draw(st.sampled_from(["get", "put"])),
                     "n0.cpu.p%d" % tid, start, start + length, data=data)

@@ -108,7 +108,7 @@ EXPLICIT = [
     "--no-telemetry --slo-latency 300 --slo-latency-budget 0.2 "
     "--slo-error-budget 0.05",
     "profile --seed 2 --transport sockets --load 30000 --concurrency 3 "
-    "--requests 40 --keys 30 --read-fraction 0.5 --tenant t1 --onesided "
+    "--requests 40 --keys 30 --read-fraction 0.5 --onesided "
     "--folded f.txt --top 2",
     # replay/diff with --set and --ab.
     "replay --stream stream.json --set transport=sockets "

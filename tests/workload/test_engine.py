@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.faults import FaultPlan
 from repro.workload import WorkloadSpec, run_workload
+from repro.workload.spec import Keyspace, Traffic
 
 
 def small_spec(**overrides):
@@ -74,11 +75,22 @@ def test_faulted_workload_finishes_degraded_not_hung():
 
 
 def test_spec_validation_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        WorkloadSpec(transport="carrier-pigeon").validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(nodes=5).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(arrival="open", load=0.0).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(read_fraction=0.9, scan_fraction=0.2).validate()
+    """The traffic and keyspace groups check their own ranges when
+    built, and so does every spec composed of them."""
+    for group, knobs in (
+            (Traffic, dict(transport="carrier-pigeon")),
+            (Traffic, dict(arrival="poisson")),
+            (Traffic, dict(nodes=5)),
+            (Traffic, dict(concurrency=0)),
+            (Traffic, dict(requests=0)),
+            (Traffic, dict(arrival="open", load=0.0)),
+            (Keyspace, dict(read_fraction=1.5)),
+            (Keyspace, dict(read_fraction=0.9, scan_fraction=0.2)),
+            (Keyspace, dict(keys=0)),
+            (Keyspace, dict(key_distribution="pareto")),
+            (Keyspace, dict(value_sizes=((0, 1.0),)))):
+        with pytest.raises(ValueError):
+            group(**knobs)
+        with pytest.raises(ValueError):
+            WorkloadSpec(**knobs)
+    Traffic(arrival="closed", load=0.0)

@@ -13,13 +13,15 @@ from dataclasses import replace
 import pytest
 
 from repro.apps.kv import KVClient, KVService, ST_MISS, ST_OK
+from repro.apps.kv.config import Mitigations
+from repro.apps.kv.protocol import MULTI_GET_MAX
 from repro.testbed import make_system
 from repro.workload import WorkloadSpec, run_workload
 
 
-def boot(srpc_handlers=1, **kv_kwargs):
+def boot(srpc_handlers=1, replicas=2, **knobs):
     system = make_system()
-    service = KVService(system, **kv_kwargs)
+    service = KVService(system, replicas, mitigations=Mitigations(**knobs))
     service.start(srpc_handlers=srpc_handlers)
     return system, service
 
@@ -51,8 +53,8 @@ def test_cache_never_serves_stale_after_own_write():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          cache_keys=16, cache_ttl_us=1e9)
+        client = KVClient(service, proc, mitigations=Mitigations(
+            cache_keys=16, cache_ttl_us=1e9))
         yield from client.connect()
         yield from client.put("hot", b"v1")
         status, value = yield from client.get("hot")   # populates cache
@@ -81,8 +83,8 @@ def test_cache_ttl_expires_entries():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          cache_keys=16, cache_ttl_us=50.0)
+        client = KVClient(service, proc, mitigations=Mitigations(
+            cache_keys=16, cache_ttl_us=50.0))
         yield from client.connect()
         yield from client.put("k", b"v")
         yield from client.get("k")                     # populate
@@ -108,8 +110,8 @@ def test_read_spread_rotates_over_replicas():
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          read_spread=True)
+        client = KVClient(service, proc,
+                          mitigations=Mitigations(read_spread=True))
         yield from client.connect()
         for _ in range(6):
             status, value = yield from client.get("hot")
@@ -123,11 +125,11 @@ def test_read_spread_rotates_over_replicas():
 
 
 def test_pipelined_writes_same_key_apply_in_order():
-    system, service = boot(srpc_window=4)
+    system, service = boot(pipeline_window=4)
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         handles = []
         for i in range(3):
@@ -149,12 +151,12 @@ def test_pipelined_read_after_write_sees_own_write():
     write to that key is still in flight must pin to the written node
     (the binding FIFO orders them) — never race to a replica that has
     not applied the write yet."""
-    system, service = boot(srpc_window=4, replicas=2)
+    system, service = boot(pipeline_window=4, replicas=2)
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc",
-                          read_spread=True, cache_keys=8)
+        client = KVClient(service, proc, mitigations=Mitigations(
+            read_spread=True, cache_keys=8))
         yield from client.connect()
         yield from client.put("raw", b"OLD")
         hw = yield from client.put_begin("raw", b"NEW")
@@ -170,12 +172,12 @@ def test_pipelined_read_after_write_sees_own_write():
 
 
 def test_multi_get_batches_and_matches_per_key_gets():
-    system, service = boot(batch=True)
+    system, service = boot(batch_keys=4)
     service.preload({"b%02d" % i: b"val-%02d" % i for i in range(10)})
     seen = {}
 
     def program(proc):
-        client = KVClient(service, proc, transport="srpc")
+        client = KVClient(service, proc)
         yield from client.connect()
         keys = ["b%02d" % i for i in range(10)] + ["absent"]
         results = yield from client.multi_get(keys)
@@ -249,13 +251,10 @@ def test_spec_rejects_mitigation_on_sockets():
 
 
 def test_spec_rejects_out_of_range_knobs():
-    with pytest.raises(ValueError):
-        WorkloadSpec(pipeline_window=0).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(pipeline_window=65).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(batch_keys=0).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(cache_keys=-1).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(cache_ttl_us=-1.0).validate()
+    """The mitigation group checks its own ranges when it is built."""
+    for knobs in (dict(pipeline_window=0), dict(pipeline_window=65),
+                  dict(batch_keys=0), dict(batch_keys=MULTI_GET_MAX + 1),
+                  dict(cache_keys=-1), dict(cache_ttl_us=-1.0)):
+        with pytest.raises(ValueError):
+            Mitigations(**knobs)
+    Mitigations(pipeline_window=64, batch_keys=MULTI_GET_MAX)

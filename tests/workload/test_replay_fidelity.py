@@ -38,7 +38,7 @@ def test_open_replay_report_byte_identical(tmp_path):
 def test_closed_replay_report_byte_identical(tmp_path):
     """The closed loop replays per-worker sequences byte-identically."""
     spec = WorkloadSpec(seed=5, arrival="closed", concurrency=3,
-                        requests=45, keys=40, think_us=10.0)
+                        requests=45, keys=40)
     live = run_workload(spec).report()
     path = str(tmp_path / "stream.json")
     save_stream(record_stream(spec), path)
