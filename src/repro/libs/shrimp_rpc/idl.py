@@ -151,13 +151,6 @@ class Interface:
                 return proc
         raise KeyError("no procedure %r in interface %s" % (name, self.name))
 
-    def by_id(self, proc_id: int) -> Procedure:
-        """Look a procedure up by its wire id."""
-        for proc in self.procedures:
-            if proc.proc_id == proc_id:
-                return proc
-        raise KeyError("no procedure id %d in interface %s" % (proc_id, self.name))
-
 
 _TYPE_RE = re.compile(
     r"^(?:(?P<scalar>int|uint|float|double|void)"

@@ -16,7 +16,6 @@ tracer into Chrome ``trace_event`` JSON (``chrome_trace_json``/
 
 from .core import (
     AllOf,
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
@@ -45,7 +44,6 @@ from .trace import Span, Stopwatch, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthChannel",
     "DEFAULT_SITE_KINDS",
     "Event",

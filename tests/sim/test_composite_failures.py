@@ -1,4 +1,4 @@
-"""Regression tests: AnyOf/AllOf child-failure semantics.
+"""Regression tests: AllOf child-failure semantics.
 
 A child that fails *before* a composite triggers fails the composite
 (and the exception is owned by whoever waits on the composite).  A child
@@ -10,24 +10,11 @@ discipline Process._crash applies.
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator, spawn
+from repro.sim import AllOf, Simulator, spawn
 
 
 class Boom(RuntimeError):
     pass
-
-
-def test_any_of_late_child_failure_surfaces():
-    sim = Simulator()
-    fast = sim.timeout(1.0, "fast")
-    bad = sim.event()
-    composite = AnyOf(sim, [fast, bad])
-    won = []
-    composite.add_callback(lambda e: won.append(e.value[1]))
-    sim.schedule_call(5.0, lambda: bad.fail(Boom("late")))
-    with pytest.raises(Boom):
-        sim.run()
-    assert won == ["fast"]  # the composite itself completed normally
 
 
 def test_all_of_second_failure_surfaces():
@@ -44,11 +31,17 @@ def test_all_of_second_failure_surfaces():
     assert seen == [False]
 
 
+def _failed_all_of(sim, late):
+    """An AllOf that a first child fails at t=1, before ``late`` does."""
+    first = sim.event()
+    AllOf(sim, [first, late])
+    sim.schedule_call(1.0, lambda: first.fail(Boom("first")))
+
+
 def test_late_failure_consumed_by_waiting_process_does_not_surface():
     sim = Simulator()
-    fast = sim.timeout(1.0)
     bad = sim.event()
-    AnyOf(sim, [fast, bad])
+    _failed_all_of(sim, bad)
     caught = []
 
     def watcher():
@@ -65,9 +58,8 @@ def test_late_failure_consumed_by_waiting_process_does_not_surface():
 
 def test_manual_defuse_suppresses_late_failure():
     sim = Simulator()
-    fast = sim.timeout(1.0)
     bad = sim.event()
-    AnyOf(sim, [fast, bad])
+    _failed_all_of(sim, bad)
 
     def fail_defused():
         bad.fail(Boom("deliberate"))
@@ -81,7 +73,7 @@ def test_early_child_failure_still_fails_composite_and_is_defused():
     sim = Simulator()
     bad = sim.event()
     slow = sim.timeout(10.0)
-    composite = AnyOf(sim, [bad, slow])
+    composite = AllOf(sim, [bad, slow])
     caught = []
 
     def waiter():

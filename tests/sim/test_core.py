@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     SimulationError,
     Simulator,
@@ -137,17 +136,6 @@ def test_timeout_negative_delay_rejected():
         Timeout(sim, -0.1)
 
 
-def test_any_of_fires_on_first_child():
-    sim = Simulator()
-    fast = sim.timeout(1.0, "fast")
-    slow = sim.timeout(5.0, "slow")
-    composite = AnyOf(sim, [slow, fast])
-    got = []
-    composite.add_callback(lambda e: got.append((sim.now, e.value[1])))
-    sim.run()
-    assert got == [(1.0, "fast")]
-
-
 def test_all_of_waits_for_every_child():
     sim = Simulator()
     events = [sim.timeout(t, t) for t in (3.0, 1.0, 2.0)]
@@ -160,8 +148,6 @@ def test_all_of_waits_for_every_child():
 
 def test_composite_requires_children():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
     with pytest.raises(ValueError):
         AllOf(sim, [])
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (
-    AnyOf,
+    AllOf,
     BandwidthChannel,
     Event,
     Interrupt,
@@ -38,29 +38,29 @@ def test_store_multiple_getters_fifo():
     assert got == [("first", "a"), ("second", "b")]
 
 
-def test_any_of_with_already_triggered_child():
+def test_all_of_with_already_triggered_child():
     sim = Simulator()
     done = Event(sim)
     done.succeed("early")
-    pending = sim.timeout(100.0)
+    pending = sim.timeout(100.0, "late")
     got = []
 
     def waiter():
-        event, value = yield AnyOf(sim, [done, pending])
-        got.append((value, sim.now))
+        values = yield AllOf(sim, [done, pending])
+        got.append((values, sim.now))
 
     spawn(sim, waiter())
     sim.run()
-    assert got == [("early", 0.0)]
+    assert got == [(["early", "late"], 100.0)]
 
 
-def test_any_of_failure_propagates():
+def test_all_of_failure_propagates():
     sim = Simulator()
     bad = Event(sim)
 
     def waiter():
         try:
-            yield AnyOf(sim, [bad, sim.timeout(100.0)])
+            yield AllOf(sim, [bad, sim.timeout(100.0)])
         except RuntimeError as exc:
             return str(exc)
 
