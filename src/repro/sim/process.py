@@ -122,22 +122,31 @@ class Process(Event):
             self._advance(event._value, throwing=True)
 
     def _advance(self, payload: Any, throwing: bool = False) -> None:
+        # Record this process as the one executing for the length of
+        # the step (the tracer's open-span stacks are per process), and
+        # restore the outer record after it, so a nested step leaves
+        # its caller's intact.
+        sim = self.sim
+        outer = sim.active_process
+        sim.active_process = self
         try:
             if throwing:
                 target = self._generator.throw(payload)
             else:
                 target = self._generator.send(payload)
         except StopIteration as stop:
+            sim.active_process = outer
             self.succeed(getattr(stop, "value", None))
             return
         except BaseException as exc:
+            sim.active_process = outer
             self._crash(exc)
             return
+        sim.active_process = outer
         if target.__class__ is float:
             # A plain sleep: the entry is pushed exactly where a
             # Timeout's would be, with the same (time, priority, seq),
             # and its dispatch resumes the process directly.
-            sim = self.sim
             if target < sim.now:
                 self._advance(ValueError(
                     "sleep deadline %r is before now (%r)" % (target, sim.now)),
@@ -156,7 +165,7 @@ class Process(Event):
             self._generator.close()
             self._crash(exc)
             return
-        if target.sim is not self.sim:
+        if target.sim is not sim:
             self._generator.close()
             self._crash(SimulationError("yielded event belongs to a different simulator"))
             return
@@ -165,7 +174,7 @@ class Process(Event):
         # the attribute dance is measurable at workload scale.
         callbacks = target.callbacks
         if callbacks is None:
-            self.sim.schedule_call(0.0, self._event_done, target, priority=URGENT)
+            sim.schedule_call(0.0, self._event_done, target, priority=URGENT)
         else:
             callbacks.append(self._event_done)
 

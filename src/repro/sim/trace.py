@@ -12,10 +12,15 @@ A :class:`Span` is a begin/end interval on a *track*.  A track names
 one serially-executing timeline — one CPU process, one NIC pipeline
 stage, the mesh backplane — written as ``"<pid>.<tid>"`` (split at the
 first dot for the Chrome exporter; e.g. ``"n0.cpu.p1"`` is thread
-``cpu.p1`` of process ``n0``).  Spans opened on the same track nest:
-:meth:`Tracer.begin` records the innermost still-open span of the
-track as the new span's parent, which is how a library call's span
-contains the VMMC call's span contains the CPU-store spans.
+``cpu.p1`` of process ``n0``).  Spans opened on the same track by the
+same simulation process nest: :meth:`Tracer.begin` records the
+innermost span still open there as the new span's parent, which is how
+a library call's span contains the VMMC call's span contains the
+CPU-store spans.  Two simulation processes can share a track (an NX
+receive loop and the sender co-process of one KV replication rank run
+on one CPU process), so each keeps its own open-span stack there
+(keyed by :attr:`Simulator.active_process`; spans opened outside any
+process share the track's stack) and never parents the other's spans.
 
 Overhead guarantee
 ------------------
@@ -124,7 +129,10 @@ class Tracer:
         self.dropped = 0
         self._next_sid = 0
         self._next_tid = 0
-        self._stacks: Dict[str, List[Span]] = {}
+        # Open-span stacks per (track, running process), and the stack
+        # each open span was pushed on, by span id.
+        self._stacks: Dict[Tuple[str, Any], List[Span]] = {}
+        self._open: Dict[int, List[Span]] = {}
         # Cross-wire hand-off: message key -> the sender's context.
         self._handoff: Dict[Hashable, Tuple[int, int]] = {}
 
@@ -132,10 +140,11 @@ class Tracer:
               data: Any = None, start: Optional[float] = None) -> Optional[Span]:
         """Open a span now on ``track``; returns it (None when disabled).
 
-        The innermost still-open span of the same track becomes the new
-        span's parent, so nested library/VMMC/CPU work links up without
-        any caller bookkeeping.  Call sites may pass the result straight
-        to :meth:`end`, which accepts None.
+        The innermost span the running simulation process still has
+        open on the same track becomes the new span's parent, so nested
+        library/VMMC/CPU work links up without any caller bookkeeping.
+        Call sites may pass the result straight to :meth:`end`, which
+        accepts None.
 
         ``start`` overrides the recorded start instant: an operation
         whose first sleep folds in a deferred charge opens its span at
@@ -146,13 +155,15 @@ class Tracer:
         if len(self.spans) >= self.limit:
             self.dropped += 1
             return None
-        stack = self._stacks.setdefault(track, [])
+        stack = self._stacks.setdefault((track, self.sim.active_process),
+                                        [])
         parent = stack[-1].sid if stack else None
         self._next_sid += 1
         span = Span(self._next_sid, parent, category, name, track,
                     self.sim.now if start is None else start, data=data)
         self.spans.append(span)
         stack.append(span)
+        self._open[span.sid] = stack
         return span
 
     def end(self, span: Optional[Span], data: Any = None) -> None:
@@ -163,13 +174,15 @@ class Tracer:
         if data is not None:
             span.data = data if span.data is None else {**_as_dict(span.data),
                                                         **_as_dict(data)}
-        stack = self._stacks.get(span.track)
-        if stack and span in stack:
-            # Pop it and anything opened after it that was left dangling.
+        stack = self._open.pop(span.sid, None)
+        if stack is not None:
+            # Pop it and anything its process opened after it that was
+            # left dangling.
             while stack:
                 top = stack.pop()
                 if top is span:
                     break
+                del self._open[top.sid]
 
     def complete(self, category: str, name: str, start: float,
                  end: Optional[float] = None, track: str = "sim",
@@ -178,8 +191,8 @@ class Tracer:
 
         Used where one call site computes the whole interval (a bus
         transfer's occupancy, a packet's mesh transit).  Does not touch
-        the track's open-span stack, but does adopt the innermost open
-        span of the track as parent.
+        the open-span stacks, but does adopt as parent the innermost
+        span the running process still has open on the track.
 
         ``sid`` lets a call site that announced a span id before the
         interval closed (via :meth:`reserve_sid`, so the id could be
@@ -190,7 +203,7 @@ class Tracer:
         if len(self.spans) >= self.limit:
             self.dropped += 1
             return None
-        stack = self._stacks.get(track)
+        stack = self._stacks.get((track, self.sim.active_process))
         parent = stack[-1].sid if stack else None
         if sid is None:
             self._next_sid += 1
@@ -268,6 +281,7 @@ class Tracer:
         self.spans.clear()
         self.dropped = 0
         self._stacks.clear()
+        self._open.clear()
         self._handoff.clear()
 
 

@@ -122,3 +122,34 @@ def test_assembly_is_deterministic():
     for tid in ta:
         assert len(ta[tid].spans) == len(tb[tid].spans)
         assert ta[tid].nodes() == tb[tid].nodes()
+
+
+def test_no_span_takes_a_parent_another_process_opened(monkeypatch):
+    """Same-track parent links stay inside one simulation process, even
+    where two share a CPU track (a replication rank's NX receive loop
+    and its sender co-process): the tracer keeps one open-span stack
+    per process.  Records which process opened each span and checks
+    every parent against it."""
+    from repro.sim.trace import Tracer
+
+    opener = {}
+
+    def recording(method):
+        def wrapped(self, *args, **kwargs):
+            span = method(self, *args, **kwargs)
+            if span is not None:
+                opener[span.sid] = self.sim.active_process
+            return span
+        return wrapped
+
+    for name in ("begin", "complete"):
+        monkeypatch.setattr(Tracer, name, recording(getattr(Tracer, name)))
+    spans = run_workload(WorkloadSpec(
+        seed=1, load=20000.0, concurrency=4, requests=80, keys=64,
+        read_fraction=0.7, trace=True)).spans
+    shared = {(s.track, opener[s.sid]) for s in spans
+              if opener[s.sid] is not None}
+    assert len(shared) > len({track for track, _ in shared})
+    for span in spans:
+        if opener[span.sid] is not None and span.parent is not None:
+            assert opener[span.parent] is opener[span.sid], span

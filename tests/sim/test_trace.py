@@ -50,6 +50,38 @@ def test_span_end_pops_dangling_children():
     assert fresh.parent is None
 
 
+def test_processes_sharing_a_track_never_parent_each_others_spans():
+    """Two simulation processes of one CPU process (an NX receive loop
+    and its sender co-process) interleave spans on one track: each
+    nests only under its own, and closing one's span leaves the
+    other's open."""
+    sim = Simulator()
+    tracer = Tracer(sim, enabled=True)
+    seen = {}
+
+    def sender():
+        seen["send"] = tracer.begin("nx.csend", "csend", track="n0.cpu.p5")
+        yield sim.timeout(2.0)
+        tracer.end(seen["send"])
+
+    def receiver():
+        yield sim.timeout(1.0)
+        seen["recv"] = tracer.begin("nx.crecv", "crecv", track="n0.cpu.p5")
+        yield sim.timeout(2.0)   # the sender's span closes meanwhile
+        seen["copy"] = tracer.begin("cpu.copy", "copy", track="n0.cpu.p5")
+        tracer.end(seen["copy"])
+        tracer.end(seen["recv"])
+
+    spawn(sim, sender())
+    spawn(sim, receiver())
+    sim.run()
+    assert seen["recv"].parent is None
+    assert seen["copy"].parent == seen["recv"].sid
+    # Outside any process, spans keep sharing the track's one stack.
+    outer = tracer.begin("a", "outer", track="n0.cpu.p5")
+    assert tracer.begin("b", "inner", track="n0.cpu.p5").parent == outer.sid
+
+
 def test_span_disabled_is_noop_and_end_accepts_none():
     sim = Simulator()
     tracer = Tracer(sim, enabled=False, limit=0)
