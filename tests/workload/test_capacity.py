@@ -86,11 +86,13 @@ class TestFindKnee:
             point(10_000, 9_900, 40.0, 80.0),
             point(20_000, 19_800, 45.0, 90.0),
             point(40_000, 22_000, 50.0, 100.0),   # achieved << offered
+            point(80_000, 21_000, 55.0, 110.0),   # tail never diverges
         ]
         assert find_knee(points) == 40_000
 
     def test_unsorted_input_is_sorted_first(self):
         points = [
+            point(80_000, 30_000, 300.0, 2000.0),
             point(40_000, 39_000, 60.0, 400.0),
             point(10_000, 9_900, 40.0, 80.0),
         ]
@@ -100,9 +102,23 @@ class TestFindKnee:
         points = [
             point(1_000, 990, 40.0, 80.0),
             point(2_000, 1_980, 45.0, 170.0),
+            point(2_100, 1_900, 45.0, 150.0),
         ]
         assert find_knee(points, tail_factor=2.0) == 2_000
         assert find_knee(points, tail_factor=3.0) is None
+
+    def test_a_maximum_at_the_top_of_the_grid_is_no_knee(self):
+        """Output still highest at the sweep's last load shows no peak:
+        it may keep rising past the grid.  The same sweep extended past
+        a drop has its knee inside."""
+        points = [
+            point(10_000, 9_900, 40.0, 80.0),
+            point(40_000, 30_000, 60.0, 400.0),   # saturated
+            point(80_000, 34_000, 300.0, 2000.0),  # still rising
+        ]
+        assert find_knee(points) is None
+        points.append(point(160_000, 20_000, 900.0, 6000.0))
+        assert find_knee(points) == 80_000
 
 
 def test_sweep_requires_open_loop():
@@ -133,11 +149,19 @@ def test_ab_artifact_config_rebuilds_its_pair(tmp_path):
 @pytest.mark.slow
 def test_real_sweep_shows_the_saturation_knee():
     """The acceptance-criteria sweep: past the knee, achieved throughput
-    plateaus while p99 diverges."""
+    plateaus while p99 diverges.  Goodput counts completions inside a
+    300 us SLO, so it peaks at the knee; raw throughput alone keeps
+    creeping up to the grid's top and shows no peak."""
     spec = WorkloadSpec(seed=1, transport="srpc", arrival="open",
-                        concurrency=4, requests=120, keys=60)
-    result = capacity_sweep([10_000, 40_000, 80_000, 160_000, 320_000], spec)
-    assert result.knee_load is not None
+                        concurrency=4, requests=120, keys=60,
+                        slo_latency_us=300.0)
+    loads = [10_000, 40_000, 80_000, 160_000, 320_000]
+    result = capacity_sweep(loads, spec)
+    assert result.knee_load is not None and result.knee_load < max(loads)
+    past = [pt for pt in result.points if pt.offered_load > result.knee_load]
+    achieved = [pt.throughput for pt in past]
+    assert max(achieved) < 1.1 * min(achieved)
+    assert all(pt.p99_us > 3.0 * result.points[0].p99_us for pt in past)
     ordered = sorted(result.points, key=lambda pt: pt.offered_load)
     first, last = ordered[0], ordered[-1]
     assert last.p99_us > 3.0 * first.p99_us          # tail diverged
