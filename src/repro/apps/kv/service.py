@@ -94,8 +94,13 @@ class KVService:
     srpc_port = 7000
     socket_port = 7100
     #: Library variants: client sockets, and the NX world that carries
-    #: replication fan-out and anti-entropy exchanges.
-    socket_variant = SOCKET_VARIANTS["DU-1copy"]
+    #: replication fan-out and anti-entropy exchanges.  Sockets use
+    #: AU-2copy because every frame the KV protocol sends is at most
+    #: REQ_HEADER + KEY_BOUND + VALUE_BOUND = 1,095 bytes, below the
+    #: 2-4 KB size where Figure 7's DU-1copy overtakes AU-2copy; under
+    #: it the copy into the AU-bound ring costs less than the
+    #: deliberate updates (up to three per record) it replaces.
+    socket_variant = SOCKET_VARIANTS["AU-2copy"]
     nx_variant = VARIANTS["AU-1copy"]
     #: Slots of each node's one-sided region (library-default slot size).
     onesided_slots = 1024

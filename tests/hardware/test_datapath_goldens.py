@@ -2,7 +2,8 @@
 
 ``tests/workload/test_zero_regression.py`` pins two SRPC reports.  These
 pin what those runs never reach: the deliberate-update engine under
-sockets traffic, the one-sided remote-read serve path (DMA and shadow,
+sockets traffic (the KV service's sockets run AU-2copy, which makes no
+deliberate update, so the two sockets runs here use DU-1copy), the one-sided remote-read serve path (DMA and shadow,
 single-packet and chunked, denied and malformed),
 a seeded fault plan's stalls, aborts and bus degradation, and FIFO and
 incoming-queue backpressure.  Each golden holds the report text (where
@@ -17,11 +18,14 @@ commit::
 """
 
 import pathlib
+from contextlib import contextmanager
 
 from repro import testbed
+from repro.apps.kv import KVService
 from repro.hardware import CacheMode, Machine, MachineConfig
 from repro.hardware.nic import OPTEntry
 from repro.hardware.router.packet import encode_read_request
+from repro.libs.sockets import SOCKET_VARIANTS
 from repro.sim import spawn
 from repro.sim.faults import FaultPlan, FaultSite
 from repro.workload import WorkloadSpec, run_workload
@@ -61,6 +65,19 @@ def _run(spec, plan=None):
     return report, created[-1]
 
 
+@contextmanager
+def _du_sockets():
+    """Run the KV service's sockets on DU-1copy, so the run drives the
+    deliberate-update engine and the fault plan's ``nic.du`` faults
+    find a transfer to stall or abort."""
+    saved = KVService.socket_variant
+    KVService.socket_variant = SOCKET_VARIANTS["DU-1copy"]
+    try:
+        yield
+    finally:
+        KVService.socket_variant = saved
+
+
 def _fmt(value):
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -84,7 +101,8 @@ def _machine_lines(machine):
 
 
 def render_sockets():
-    report, system = _run(SOCKETS_SPEC)
+    with _du_sockets():
+        report, system = _run(SOCKETS_SPEC)
     return "\n".join([report.report()] + _machine_lines(system.machine))
 
 
@@ -95,7 +113,8 @@ def render_onesided():
 
 def render_fault_plan():
     plan = FaultPlan.from_seed(**FAULT_PLAN_ARGS)
-    report, system = _run(SOCKETS_SPEC, plan)
+    with _du_sockets():
+        report, system = _run(SOCKETS_SPEC, plan)
     return "\n".join([report.report(), system.faults.report()]
                      + _machine_lines(system.machine))
 
