@@ -61,7 +61,7 @@ from .replication.versions import (
     unpack_version,
     wins,
 )
-from .server import shard_interface
+from .server import recv_frame, shard_interface
 from .service import region_name
 
 __all__ = ["KVClient", "KvRejectedError"]
@@ -1093,18 +1093,16 @@ class KVClient:
             call = self._sock_trace(sock)
             yield from self._sock_send(
                 sock, wire.encode_request(op, key, value or b""))
-            got = yield from sock.recv_exactly(self._rbuf,
-                                               wire.RESP_HEADER.size)
-            if got < wire.RESP_HEADER.size:
-                raise VmmcTimeoutError("kv: server closed the connection")
-            status, value_len = wire.decode_response_header(
-                self.proc.peek(self._rbuf, wire.RESP_HEADER.size))
+            fields = yield from recv_frame(
+                sock, self._rbuf, wire.RESP_HEADER.size + wire.VALUE_BOUND,
+                wire.RESP_HEADER, lambda f: f[1])
+            if fields is None:
+                raise VmmcTimeoutError("kv: response cut short")
+            status, value_len = fields
             out = None
             if value_len:
-                got = yield from sock.recv_exactly(self._rbuf, value_len)
-                if got < value_len:
-                    raise VmmcTimeoutError("kv: truncated response value")
-                out = self.proc.peek(self._rbuf, value_len)
+                out = self.proc.peek(self._rbuf + wire.RESP_HEADER.size,
+                                     value_len)
             return status, out
         finally:
             self._sock_span(call, _OP_NAMES[op])

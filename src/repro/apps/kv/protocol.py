@@ -29,8 +29,7 @@ __all__ = [
     "REPL_DATA", "REPL_STOP", "REPL_VDATA", "REPL_RECORD", "REPL_VRECORD",
     "VGET_BOUND",
     "MULTI_GET_MAX", "MG_REQ_BOUND", "MG_RESP_BOUND",
-    "encode_request", "decode_request_header",
-    "encode_response", "decode_response_header",
+    "encode_request", "encode_response",
     "encode_scan_record", "scan_end_record", "scan_reject_record",
     "encode_repl_record", "decode_repl_record",
     "encode_vrepl_record", "decode_vrepl_record",
@@ -98,19 +97,9 @@ def encode_request(op: int, key: str, value: bytes = b"",
     return REQ_HEADER.pack(op, len(kb), third) + kb + value
 
 
-def decode_request_header(data: bytes) -> Tuple[int, int, int]:
-    """``(op, key_len, value_len_or_limit)`` from a request header."""
-    return REQ_HEADER.unpack(data[:REQ_HEADER.size])
-
-
 def encode_response(status: int, value: bytes = b"") -> bytes:
     """One socket response frame."""
     return RESP_HEADER.pack(status, len(value)) + value
-
-
-def decode_response_header(data: bytes) -> Tuple[int, int]:
-    """``(status, value_len)`` from a response header."""
-    return RESP_HEADER.unpack(data[:RESP_HEADER.size])
 
 
 def encode_scan_record(key: str, value: bytes) -> bytes:
