@@ -477,13 +477,19 @@ def run_workload(spec: WorkloadSpec,
             "rejected: %d of %d offered (%.1f%%)"
             % (tally["rejected"], spec.requests,
                100.0 * tally["rejected"] / spec.requests))
-        goodput = (tally["in_slo"] if spec.slo_latency_us > 0.0
-                   else tally["completed"])
+        # The line names the threshold it scored against: the spec
+        # line shows it only with telemetry on.
+        if spec.slo_latency_us > 0.0:
+            goodput = tally["in_slo"]
+            scored = "%d in-slo (<= %g us) of %d completed" % (
+                goodput, spec.slo_latency_us, tally["completed"])
+        else:
+            goodput = tally["completed"]
+            scored = "%d of %d completed, no slo" % (goodput, goodput)
         overload_lines.append(
-            "goodput: %d in-slo of %d completed (%.0f ops/s); "
+            "goodput: %s (%.0f ops/s); "
             "completed+errors+rejected = %d+%d+%d = %d of %d offered [%s]"
-            % (goodput, tally["completed"],
-               goodput * 1e6 / duration if duration > 0 else 0.0,
+            % (scored, goodput * 1e6 / duration if duration > 0 else 0.0,
                tally["completed"], tally["errors"], tally["rejected"],
                total, spec.requests,
                "OK" if total == spec.requests else "VIOLATED"))

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench.capacity import overload_pair, paired_capacity_sweep
 from repro.workload import WorkloadSpec
 from repro.workload.engine import run_workload
@@ -117,6 +118,21 @@ class TestConservation:
         assert rep.rejected > 0
         assert rep.errors == 0
         assert rep.completed + rep.rejected == spec.requests
+
+
+@pytest.mark.parametrize("slo, shown", [("900", "in-slo (<= 900 us)"),
+                                        (None, "no slo")])
+def test_goodput_line_names_its_threshold(capsys, slo, shown):
+    """The goodput line says which latency threshold it scored against,
+    or that it had none: the spec line shows the threshold only with
+    telemetry on."""
+    argv = ["workload", "--requests", "60", "--cpu-slots", "1"]
+    if slo is not None:
+        argv += ["--slo-latency", slo]
+    assert main(argv) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("goodput:")]
+    assert shown in line
 
 
 @pytest.mark.parametrize("backpressure", [False, True])
