@@ -355,6 +355,20 @@ class PairedCapacityResult:
         else:
             lines.append("verdict: neither run saturated inside the "
                          "swept range")
+        if kind != "consistency" and a == b:
+            # Equal knees (or none) hide any gain; compare what each
+            # side achieved at the top load both sweeps measured.
+            base = {pt.offered_load: pt for pt in self.baseline.points}
+            shared = [pt for pt in self.mitigated.points
+                      if pt.offered_load in base]
+            if shared:
+                top = max(shared, key=lambda pt: pt.offered_load)
+                low = base[top.offered_load]
+                lines.append(
+                    "at %.0f ops/s offered: B achieved %.0f ops/s (p99 "
+                    "%.2f us), A %.0f ops/s (p99 %.2f us)"
+                    % (top.offered_load, top.throughput, top.p99_us,
+                       low.throughput, low.p99_us))
         if kind == "overload" and self.mitigated.knee_load is not None:
             knee = self.mitigated.knee_load
             knee_goodput = max(

@@ -7,6 +7,8 @@ from repro.__main__ import main
 from repro.bench.capacity import (
     MITIGATIONS_OFF,
     CapacityPoint,
+    CapacityResult,
+    PairedCapacityResult,
     capacity_sweep,
     find_knee,
     mitigation_pair,
@@ -119,6 +121,56 @@ class TestFindKnee:
         assert find_knee(points) is None
         points.append(point(160_000, 20_000, 900.0, 6000.0))
         assert find_knee(points) == 80_000
+
+
+class TestPairedVerdict:
+    """The A/B report on synthetic sweeps: when the knees cannot tell
+    the runs apart, the top load both sweeps measured does."""
+
+    A = WorkloadSpec(arrival="open")
+    B = WorkloadSpec(arrival="open", cache_keys=8)
+    TOP = ("at 200000 ops/s offered: B achieved 190000 ops/s "
+           "(p99 210.00 us), A 150000 ops/s (p99 700.00 us)")
+
+    def report(self, a_points, b_points):
+        a = CapacityResult(self.A, a_points, find_knee(a_points))
+        b = CapacityResult(self.B, b_points, find_knee(b_points))
+        return PairedCapacityResult(a, b).report().splitlines()
+
+    def test_plateau_compares_the_top_shared_load(self):
+        """Both sweeps still rising at the grid's top: no knee either
+        side.  B measured one more load than A; the line takes the
+        highest load both measured."""
+        a_points = [point(100_000, 99_000, 40.0, 80.0),
+                    point(200_000, 150_000, 60.0, 700.0)]
+        b_points = [point(100_000, 99_500, 35.0, 70.0),
+                    point(200_000, 190_000, 45.0, 210.0),
+                    point(300_000, 240_000, 60.0, 900.0)]
+        lines = self.report(a_points, b_points)
+        assert lines[-2:] == [
+            "verdict: neither run saturated inside the swept range",
+            self.TOP]
+
+    def test_equal_knees_compare_the_top_shared_load(self):
+        a_points = [point(100_000, 99_000, 40.0, 80.0),
+                    point(150_000, 152_000, 50.0, 400.0),
+                    point(200_000, 150_000, 60.0, 700.0)]
+        b_points = [point(100_000, 99_500, 35.0, 70.0),
+                    point(150_000, 195_000, 40.0, 300.0),
+                    point(200_000, 190_000, 45.0, 210.0)]
+        lines = self.report(a_points, b_points)
+        assert lines[-2:] == ["verdict: knee unchanged at ~150000 ops/s",
+                              self.TOP]
+
+    def test_a_knee_move_needs_no_extra_line(self):
+        a_points = [point(100_000, 99_000, 40.0, 80.0),
+                    point(150_000, 152_000, 50.0, 400.0),
+                    point(200_000, 150_000, 60.0, 700.0)]
+        b_points = [point(100_000, 99_500, 35.0, 70.0),
+                    point(200_000, 199_000, 45.0, 400.0),
+                    point(300_000, 150_000, 60.0, 900.0)]
+        lines = self.report(a_points, b_points)
+        assert lines[-1].startswith("verdict: mitigation moved the knee")
 
 
 def test_sweep_requires_open_loop():
