@@ -269,6 +269,7 @@ class UserProcess:
         nbytes: int,
         predicate: Callable[[bytes], bool],
         deadline: Optional[float] = None,
+        wake: Sequence[Tuple[int, int]] = (),
     ):
         """Wait until ``predicate(bytes at vaddr)`` holds; returns the bytes.
 
@@ -280,6 +281,10 @@ class UserProcess:
         polling).  Returns None if ``deadline`` (absolute sim time)
         passes first, after one last check.  The range is translated
         once, before the first check.
+
+        ``wake`` lists further ``(vaddr, nbytes)`` ranges whose stores
+        also end a sleep.  The check still loads only the polled range,
+        so a predicate that must react to them peeks them itself.
         """
         space = self.space
         page_size = self.config.page_size
@@ -291,6 +296,10 @@ class UserProcess:
         else:
             segments = space.translate(vaddr, nbytes, write=False)
             mode = space.cache_mode_of(vaddr)
+        watched = segments
+        if wake:
+            watched = segments + [segment for extra, length in wake
+                                  for segment in space.translate(extra, length)]
         check_cost = (
             self.config.read_cost(mode, nbytes) + self.config.costs.vmmc_poll_check
         )
@@ -323,7 +332,7 @@ class UserProcess:
                 return data
             if deadline is not None and sim.now >= deadline:
                 return None
-            wrote = yield from self._sleep_until_write(segments, check_cost,
+            wrote = yield from self._sleep_until_write(watched, check_cost,
                                                        deadline)
             charged = wrote is not None
             start = wrote if charged else sim.now

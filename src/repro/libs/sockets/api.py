@@ -51,6 +51,7 @@ _FIN_OFF = 0x80
 # never read) when no fault plan is armed, so the fault-free wire
 # traffic is byte-identical to the paper's protocol.
 _CRC_OFF = 0xC0
+_XMIT_OFF = _CRC_OFF + 4
 _ETH_LISTEN_BASE = 20000
 _ETH_REPLY_BASE = 40000
 _reply_ports = itertools.count(1)
@@ -335,8 +336,8 @@ class ShrimpSocket:
         until acked: the receiver's consumed counter reaching the new
         produced value *is* the ack (no extra wire words), so the ring
         is drained between records and a retransmission can blindly
-        rewrite the same offsets.  Raises :class:`SocketTimeoutError`
-        once the retry budget is spent.
+        rewrite the same offsets (:meth:`_await_ack`).  Raises
+        :class:`SocketTimeoutError` once the retry budget is spent.
         """
         proc = self.proc
         ring = self.out_ring
@@ -352,9 +353,7 @@ class ShrimpSocket:
         acked = yield from retransmit(
             lambda: self._transmit_record(vaddr, payload, header, header_off,
                                           segments, produced, crc),
-            lambda timeout_us: bounded_poll(
-                proc, self.half.ctrl_vaddr + _CONSUMED_OFF, 4,
-                lambda data: data == target, timeout_us),
+            lambda timeout_us: self._await_ack(target, timeout_us),
             payload,
         )
         if acked is None:
@@ -363,6 +362,29 @@ class ShrimpSocket:
                 % (payload, MAX_XMIT)
             )
         ring.consumed = produced
+
+    def _await_ack(self, target: bytes, timeout_us: float):
+        """Wait at most ``timeout_us`` for the consumed counter to read
+        ``target`` (generator returning it, or None at the deadline).
+
+        The charged check loads the consumed word alone, but a store to
+        the peer's xmit word also wakes the wait.  A peer retransmitting
+        to us never saw our last ack, and it is blocked in its own send,
+        so it will not read our record until we replay that ack: the
+        wake runs :meth:`_refresh_produced`, which does.
+        """
+        proc = self.proc
+        xmit = self.half.ctrl_vaddr + _XMIT_OFF
+        deadline = proc.sim.now + timeout_us
+        while True:
+            seen = _u32(self._xmit_seen)
+            data = yield from proc.poll(
+                self.half.ctrl_vaddr + _CONSUMED_OFF, 4,
+                lambda data: data == target or proc.peek(xmit, 4) != seen,
+                deadline, wake=((xmit, 4),))
+            if data is None or data == target:
+                return data
+            yield from self._refresh_produced()
 
     def _transmit_record(self, vaddr: int, payload: int, header: bytes,
                          header_off: int, segments, produced: int,
