@@ -112,8 +112,8 @@ class KVClient:
         self.rpc: Dict[int, object] = {}
         self.socks: Dict[int, object] = {}
         self.dead: Set[Tuple[str, int]] = set()
-        self._sbuf = proc.space.mmap(4096)
-        self._rbuf = proc.space.mmap(4096)
+        self._sbuf = proc.space.mmap(_BUF_BYTES)
+        self._rbuf = proc.space.mmap(_BUF_BYTES)
         self.ops = 0
         self.misses = 0
         self.errors = 0
@@ -494,7 +494,8 @@ class KVClient:
         """Generator returning ``(status, [(key, value), ...])``.
 
         Scatter-gathers over *every* live shard (a prefix's keys are
-        hash-distributed), merges in key order, and truncates to
+        hash-distributed): each is sent its leg before any is read, so
+        the shards serve at once.  Merges in key order and truncates to
         ``limit``.  Always streams over sockets.
         """
         return self._request(wire.OP_SCAN, prefix,
@@ -503,25 +504,44 @@ class KVClient:
     def _scan_once(self, prefix: str, limit: int):
         """One scatter-gather scan attempt (generator).
 
+        Scatter: every live shard is sent its leg first.  Gather: the
+        sent legs are read in node order, each to its sentinel, so each
+        leg's ``kv.call`` span runs from its send to the end of its
+        stream and the spans overlap.  A failed send or read strikes
+        that shard and the attempt answers ``ST_ERROR``.
+
         Any shard shedding its leg rejects the whole attempt — a
         partial merge would silently under-report the prefix, which is
-        worse than an honest rejection."""
-        merged: Dict[str, bytes] = {}
+        worse than an honest rejection.  The other legs are still read
+        to their ends first, or the next op on those connections would
+        read this scan's records."""
         status = wire.ST_OK
+        sent = []
         for node in self.service.nodes:
             if ("sock", node) in self.dead:
                 status = wire.ST_ERROR
                 continue
+            call = yield from self._call(
+                "sock", node, self._scan_send(node, prefix, limit))
+            if call is _DOWN:
+                status = wire.ST_ERROR
+            else:
+                sent.append((node, call))
+        merged: Dict[str, bytes] = {}
+        rejected = False
+        for node, call in sent:
             records = yield from self._call(
-                "sock", node, self._sock_scan(node, prefix, limit))
+                "sock", node, self._scan_gather(node, call))
             if records is _DOWN:
                 status = wire.ST_ERROR
-                continue
-            if records is None:
-                return wire.ST_REJECTED, []
-            # Replicas return the same keys; first copy wins.
-            for rec_key, rec_value in records:
-                merged.setdefault(rec_key, rec_value)
+            elif records is None:
+                rejected = True
+            else:
+                # Replicas return the same keys; first copy wins.
+                for rec_key, rec_value in records:
+                    merged.setdefault(rec_key, rec_value)
+        if rejected:
+            return wire.ST_REJECTED, []
         return status, [(k, merged[k]) for k in sorted(merged)][:limit]
 
     # -------------------------------------------------------- internals
@@ -1107,31 +1127,47 @@ class KVClient:
         finally:
             self._sock_span(call, _OP_NAMES[op])
 
-    def _sock_scan(self, node: int, prefix: str, limit: int):
+    def _scan_send(self, node: int, prefix: str, limit: int):
+        """Send ``node`` its SCAN leg (generator returning the leg's
+        :meth:`_sock_trace` token for :meth:`_scan_gather`)."""
         sock = self.socks[node]
-        call = None
+        call = self._sock_trace(sock)
         try:
-            call = self._sock_trace(sock)
             yield from self._sock_send(sock, wire.encode_request(
                 wire.OP_SCAN, prefix, scan_limit=limit))
-            records: List[Tuple[str, bytes]] = []
+        except (VmmcTimeoutError, VmmcError):
+            self._sock_span(call, "scan")
+            raise
+        return call
+
+    def _scan_gather(self, node: int, call):
+        """Read ``node``'s SCAN leg to its sentinel (generator returning
+        the leg's records, or None when the shard shed it).
+
+        Each ``recv`` takes up to the whole receive buffer and every
+        complete record in it is parsed.  A record the read cut short
+        moves to the buffer's front and the next read completes it."""
+        sock = self.socks[node]
+        records: List[Tuple[str, bytes]] = []
+        held = 0
+        try:
             while True:
-                got = yield from sock.recv_exactly(self._rbuf,
-                                                   wire.SCAN_RECORD.size)
-                if got < wire.SCAN_RECORD.size:
+                got = yield from sock.recv(self._rbuf + held,
+                                           _BUF_BYTES - held)
+                if got == 0:
                     raise VmmcTimeoutError("kv: scan stream cut short")
-                key_len, value_len = wire.SCAN_RECORD.unpack(
-                    self.proc.peek(self._rbuf, wire.SCAN_RECORD.size))
-                if key_len == wire.SCAN_END:
+                held += got
+                found, sentinel, used = wire.parse_scan_records(
+                    self.proc.peek(self._rbuf, held))
+                records += found
+                if sentinel == wire.SCAN_REJECT:
+                    return None  # the shard shed this leg at admission
+                if sentinel is not None:
                     return records
-                if key_len == wire.SCAN_REJECT:
-                    return None  # server shed this scan at admission
-                got = yield from sock.recv_exactly(
-                    self._rbuf, key_len + value_len)
-                if got < key_len + value_len:
-                    raise VmmcTimeoutError("kv: truncated scan record")
-                blob = self.proc.peek(self._rbuf, key_len + value_len)
-                records.append((blob[:key_len].decode(), blob[key_len:]))
+                held -= used
+                if held and used:
+                    yield from self.proc.copy(self._rbuf + used,
+                                              self._rbuf, held)
         finally:
             self._sock_span(call, "scan")
 
@@ -1164,3 +1200,6 @@ _OP_NAMES = {wire.OP_GET: "get", wire.OP_PUT: "put",
 
 #: What :meth:`KVClient._call` returns for a call whose connection died.
 _DOWN = object()
+
+#: Bytes of each client's send and receive buffer.
+_BUF_BYTES = 4096

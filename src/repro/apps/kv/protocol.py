@@ -3,7 +3,8 @@
 Two encodings share these constants:
 
 * the socket protocol — length-prefixed request/response frames over a
-  SHRIMP stream socket, plus a streamed record format for SCAN; and
+  SHRIMP stream socket, plus a streamed record format for SCAN, whose
+  records a shard stages into sends of at most ``SCAN_SEND_BYTES``; and
 * the replication records the shard servers exchange over NX.
 
 The SHRIMP RPC transport needs no framing of its own (the IDL in
@@ -26,11 +27,13 @@ __all__ = [
     "OP_GET", "OP_PUT", "OP_DELETE", "OP_SCAN", "OP_QUIT",
     "ST_OK", "ST_MISS", "ST_ERROR", "ST_REJECTED",
     "REQ_HEADER", "RESP_HEADER", "SCAN_RECORD", "SCAN_END", "SCAN_REJECT",
+    "SCAN_SEND_BYTES",
     "REPL_DATA", "REPL_STOP", "REPL_VDATA", "REPL_RECORD", "REPL_VRECORD",
     "VGET_BOUND",
     "MULTI_GET_MAX", "MG_REQ_BOUND", "MG_RESP_BOUND",
     "encode_request", "encode_response",
     "encode_scan_record", "scan_end_record", "scan_reject_record",
+    "parse_scan_records",
     "encode_repl_record", "decode_repl_record",
     "encode_vrepl_record", "decode_vrepl_record",
     "encode_multi_get_request", "decode_multi_get_request",
@@ -71,6 +74,14 @@ RESP_HEADER = struct.Struct("<BI")    # status, value_len
 SCAN_RECORD = struct.Struct("<HI")    # key_len, value_len
 SCAN_END = 0xFFFF                     # key_len sentinel closing a scan stream
 SCAN_REJECT = 0xFFFE                  # key_len sentinel: scan shed by admission
+
+# A shard stages a SCAN leg's records, the end sentinel last, into
+# sends of at most this many bytes.  Per-message overhead dominates
+# small socket messages (Figure 7), so one send per record paid it once
+# per record.  The bound keeps every send below the size where
+# DU-1copy overtakes the service's AU-2copy variant (one way, 2,048 B:
+# 212.67 against 214.83 us; from about 3.5 KB DU-1copy is ahead).
+SCAN_SEND_BYTES = 2048
 
 # Replication record kinds (first byte of the NX payload).
 REPL_DATA = 1    # upsert (value present) or delete (value_len == SCAN_END-free 0 with flag)
@@ -116,6 +127,32 @@ def scan_end_record() -> bytes:
 def scan_reject_record() -> bytes:
     """The sentinel record closing a SCAN the server shed (admission)."""
     return SCAN_RECORD.pack(SCAN_REJECT, 0)
+
+
+def parse_scan_records(data: bytes) -> Tuple[List[Tuple[str, bytes]],
+                                              Optional[int], int]:
+    """The complete SCAN records at the front of ``data``.
+
+    Returns ``(records, sentinel, used)``: the ``(key, value)`` pair of
+    every whole record, the sentinel that closed the stream
+    (``SCAN_END`` or ``SCAN_REJECT``; None while it goes on) and the
+    bytes those took, sentinel included.  Bytes past ``used`` are the
+    front of a record the next read completes.
+    """
+    records: List[Tuple[str, bytes]] = []
+    used = 0
+    while len(data) - used >= SCAN_RECORD.size:
+        key_len, value_len = SCAN_RECORD.unpack_from(data, used)
+        if key_len in (SCAN_END, SCAN_REJECT):
+            return records, key_len, used + SCAN_RECORD.size
+        key_at = used + SCAN_RECORD.size
+        end = key_at + key_len + value_len
+        if end > len(data):
+            break
+        records.append((bytes(data[key_at:key_at + key_len]).decode(),
+                        bytes(data[key_at + key_len:end])))
+        used = end
+    return records, None, used
 
 
 def encode_multi_get_request(keys: List[str]) -> bytes:

@@ -11,7 +11,8 @@ Three transports, per the tentpole split:
 * **SHRIMP RPC** for request/response — the ``KvShard`` IDL below;
 * **sockets** for the streamed SCAN of ``protocol.py``, and for framed
   GET/PUT/DELETE when the client's transport is sockets; every frame is
-  at most 1,095 bytes, so they run the AU-2copy variant
+  at most 1,095 bytes and a SCAN leg goes out in sends of at most
+  ``SCAN_SEND_BYTES`` (2 KB), so they run the AU-2copy variant
   (``KVService.socket_variant``);
 * **NX** for replication fan-out — a per-node sender drains the
   service's replication queue and ``csend``s records to the other
@@ -403,6 +404,15 @@ def socket_server_program(service: "KVService", node_id: int):
             yield from proc.write(out, frame)
             yield from sock.send(out, len(frame))
 
+        def stage(staged, record):
+            """Append a scan ``record`` to the ``staged`` bytes, sending
+            them first if it would take them past ``SCAN_SEND_BYTES``
+            (generator returning the bytes now staged)."""
+            if len(staged) + len(record) > wire.SCAN_SEND_BYTES:
+                yield from reply(staged)
+                staged = b""
+            return staged + record
+
         try:
             while True:
                 # The request's stream offset: its trace hand-off key.
@@ -450,13 +460,19 @@ def socket_server_program(service: "KVService", node_id: int):
                             wire.ST_MISS if value is None else wire.ST_OK,
                             value or b""))
                     elif op == wire.OP_SCAN:
+                        # The leg goes out in as few sends as the bound
+                        # allows, the end sentinel riding the last one.
+                        staged = b""
                         for rec_key, rec_value in store.scan(key, third):
                             yield from proc.compute(
                                 apply_cost(len(rec_value)),
                                 priority=LANE_BULK)
-                            yield from reply(
+                            staged = yield from stage(
+                                staged,
                                 wire.encode_scan_record(rec_key, rec_value))
-                        yield from reply(wire.scan_end_record())
+                        staged = yield from stage(staged,
+                                                  wire.scan_end_record())
+                        yield from reply(staged)
                     else:
                         status = yield from impl.apply(key, value)
                         yield from reply(wire.encode_response(status))
