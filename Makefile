@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json record-replay-demo profile-demo clean
+.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo scan-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json record-replay-demo profile-demo clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -34,6 +34,13 @@ capacity-json:
 # block to this command's output).
 mitigation-demo:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro capacity --loads 20000,40000,80000,120000,160000,240000,320000 --zipf-s 1.3 --ab
+
+# The scatter-gather scan run from EXPERIMENTS.md "Scatter-gather
+# scans": the ledger's kv-sockets-mixed reference input, at doc-exact
+# arguments (tests/test_docs_links.py pins the doc's per-op table to
+# this command's output).
+scan-demo:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro workload --seed 11 --transport sockets --arrival closed --concurrency 8 --requests 1500 --keys 2000 --dist uniform --read-fraction 0.45 --scan-fraction 0.05
 
 # Paired A/B sweep isolating the one-sided server bypass (docs/ONESIDED.md).
 # It overwrites BENCH_capacity.json; the committed copy comes from

@@ -10,7 +10,7 @@ Two structural checks over every Markdown file in the repo root and
   against the real argument parser, so a renamed flag or subcommand
   cannot strand a stale example.
 
-Three more checks run documented commands and compare their output
+Four more checks run documented commands and compare their output
 with the blocks the doc shows for them, so those blocks cannot go stale.
 
 These run in the docs CI job (.github/workflows/ci.yml) as well as in
@@ -158,6 +158,24 @@ def test_experiments_paper_table_is_the_commands_output():
     assert _printed(command) == expected
     written = REPO_ROOT / "benchmarks" / "results" / "headline_scalars.txt"
     assert written.read_text().rstrip("\n") == expected
+
+
+#: EXPERIMENTS.md's scatter-gather scan run (``make scan-demo``): the
+#: ledger's kv-sockets-mixed reference input.
+SCAN_DEMO = ("python -m repro workload --seed 11 --transport sockets "
+             "--arrival closed --concurrency 8 --requests 1500 --keys 2000 "
+             "--dist uniform --read-fraction 0.45 --scan-fraction 0.05")
+
+
+def test_experiments_scan_block_is_the_commands_output():
+    """The doc shows the run's report through its per-op table's
+    ``OVERALL`` row; the service and utilization lines are left out."""
+    shown = _output_block_after(
+        (REPO_ROOT / "EXPERIMENTS.md").read_text(), SCAN_DEMO).splitlines()
+    printed = _printed(SCAN_DEMO).splitlines()
+    end = next(i for i, line in enumerate(printed)
+               if line.startswith("OVERALL "))
+    assert printed[:end + 1] == shown
 
 
 #: OBSERVABILITY.md's worked ``explain`` example (``make explain-demo``).
