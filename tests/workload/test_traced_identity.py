@@ -19,7 +19,6 @@ from dataclasses import replace
 import pytest
 
 from ledger.workloads import SIM_SEED, WORKLOADS
-from repro.sim.faults import FaultPlan
 from repro.workload import WorkloadSpec, run_workload
 from tests.workload import test_kv_path_goldens as kv_path
 from tests.workload import test_zero_regression as zero_regression
@@ -36,9 +35,8 @@ CASES = dict(
 
 
 def _report(spec, seed, trace):
-    plan = (None if seed is None
-            else FaultPlan.from_seed(seed, horizon_us=3000.0, count=8))
-    return run_workload(replace(spec, trace=trace), fault_plan=plan)
+    return run_workload(replace(spec, trace=trace),
+                        fault_plan=kv_path.fault_plan(spec, seed))
 
 
 def test_the_case_list_is_complete():
