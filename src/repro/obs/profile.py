@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import format_table, percentile
 from ..sim.trace import Span
-from .assemble import TraceTree, _classify, assemble_traces, explain_trace
+from .assemble import TraceTree, assemble_traces, classify, explain_trace
 
 __all__ = ["PROFILE_STAGES", "RequestProfile", "Profile", "build_profile",
            "render_folded", "render_flame", "tag_root"]
@@ -83,7 +83,7 @@ def _stage_of(segment) -> str:
 def _hot_stage(category: str) -> str:
     """A raw span category's profile stage (for the hot-span table):
     the explain classifier's, with ``cpu.*`` split out of vmmc."""
-    return "cpu" if category.startswith("cpu.") else _classify(category)
+    return "cpu" if category.startswith("cpu.") else classify(category)
 
 
 def _frames(tree: TraceTree, sid: Optional[int]) -> List[str]:

@@ -269,12 +269,6 @@ class Tracer:
         return self.complete(category, name, self.sim.now, self.sim.now,
                              track=track, data=data)
 
-    # -- span queries ----------------------------------------------------
-    def spans_of(self, category: str, track_prefix: str = "") -> List[Span]:
-        """Spans of one category, optionally restricted to a track prefix."""
-        return [s for s in self.spans
-                if s.category == category and s.track.startswith(track_prefix)]
-
     def clear(self) -> None:
         """Drop all recorded spans, the refusal count and the posted
         contexts (keeps settings)."""

@@ -118,16 +118,6 @@ def test_complete_and_instant_adopt_open_parent():
     assert child.parent == outer.sid
 
 
-def test_spans_of_filters_category_and_track_prefix():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=True)
-    tracer.complete("cpu.poll", "n0", 0.0, 1.0, track="n0.cpu.p1")
-    tracer.complete("cpu.poll", "n1", 0.0, 1.0, track="n1.cpu.p1")
-    tracer.complete("cpu.store", "s", 0.0, 1.0, track="n1.cpu.p1")
-    assert [s.name for s in tracer.spans_of("cpu.poll")] == ["n0", "n1"]
-    assert [s.name for s in tracer.spans_of("cpu.poll", "n1.")] == ["n1"]
-
-
 def test_clear_drops_spans_and_refusal_count():
     sim = Simulator()
     tracer = Tracer(sim, enabled=True, limit=1)
