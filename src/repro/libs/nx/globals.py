@@ -2,68 +2,49 @@
 
 NX/2 shipped a family of global reduction calls every rank enters
 together; applications used them constantly (residual norms, global
-maxima, convergence tests).  Implemented here as a binomial-tree
-reduce-to-0 followed by a tree broadcast of the result — pure software
-over csend/crecv, like everything else above VMMC.
+maxima, convergence tests).  Implemented here as the collectives'
+binomial-tree reduce to rank 0 followed by their tree broadcast of the
+result — pure software over csend/crecv, like everything else above
+VMMC.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
+from .. import collectives
 from .api import NXProcess
 
 __all__ = ["gisum", "gdsum", "gihigh", "gilow", "gdhigh", "gdlow", "gcol"]
 
+# Message types of their own: a rank leaving a reduce_int early must not
+# have its next global op's contribution taken into that reduction.
 _GLOBAL_REDUCE = 0x7FFD0001
 _GLOBAL_BCAST = 0x7FFD0002
 _GLOBAL_CONCAT = 0x7FFD0003
 
 
 def _global_op(nx: NXProcess, values: List, fmt: str,
-               combine: Callable[[List, List], List]):
+               combine: Callable[[Sequence, Sequence], List]):
     """Tree-reduce ``values`` elementwise to rank 0, broadcast back.
 
     ``fmt`` is the struct element code ('q' or 'd'); every rank returns
     the combined list.
     """
-    size = nx.numnodes()
-    count = len(values)
-    pack = lambda vs: struct.pack("<%d%s" % (count, fmt), *vs)
-    unpack = lambda raw: list(struct.unpack("<%d%s" % (count, fmt), raw))
-    nbytes = len(pack(values))
-    page = nx.proc.config.page_size
-    scratch = nx.proc.space.mmap(-(-max(nbytes, 4) // page) * page)
+    layout = struct.Struct("<%d%s" % (len(values), fmt))
 
-    me = nx.mynode()
-    accumulator = list(values)
-    # Reduce: binomial tree toward rank 0.
-    mask = 1
-    while mask < size:
-        if me & mask:
-            parent = me & ~mask
-            nx.proc.poke(scratch, pack(accumulator))
-            yield from nx.csend(_GLOBAL_REDUCE, scratch, nbytes, to=parent)
-            break
-        child = me | mask
-        if child < size:
-            yield from nx.crecv(_GLOBAL_REDUCE, scratch, nbytes)
-            accumulator = combine(accumulator, unpack(nx.proc.peek(scratch, nbytes)))
-        mask <<= 1
-    # Broadcast the result back down the same tree.
-    if me != 0:
-        yield from nx.crecv(_GLOBAL_BCAST, scratch, nbytes)
-        accumulator = unpack(nx.proc.peek(scratch, nbytes))
-    mask = 1
-    while mask < size:
-        if me < mask:
-            child = me + mask
-            if child < size:
-                nx.proc.poke(scratch, pack(accumulator))
-                yield from nx.csend(_GLOBAL_BCAST, scratch, nbytes, to=child)
-        mask <<= 1
-    return accumulator
+    def merge(mine: bytes, theirs: bytes) -> bytes:
+        return layout.pack(*combine(layout.unpack(mine),
+                                    layout.unpack(theirs)))
+
+    buf = nx.proc.space.mmap(max(layout.size, 1))
+    nx.proc.poke(buf, layout.pack(*values))
+    yield from collectives.reduce(nx, buf, layout.size, merge,
+                                  mtype=_GLOBAL_REDUCE)
+    yield from collectives.broadcast(nx, buf, layout.size,
+                                     mtype=_GLOBAL_BCAST)
+    return list(layout.unpack(nx.proc.peek(buf, layout.size)))
 
 
 def _elementwise(op):
