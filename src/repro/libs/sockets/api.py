@@ -535,7 +535,6 @@ class ShrimpSocket:
         probe.consumed = ring.consumed
         first = True
         while probe.used > 0:
-            header = self.proc.node.memory  # untimed header peeks below
             raw = self.proc.peek(self.half.ring_vaddr + probe.next_header_offset(), 4)
             (payload,) = struct.unpack("<I", raw)
             available += payload - (self._partial if first else 0)

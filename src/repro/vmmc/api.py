@@ -406,14 +406,6 @@ class VmmcEndpoint:
         """Remove an automatic-update binding (drains first)."""
         yield from self.daemon.unbind_automatic(self.proc, binding)
 
-    def flush_combining(self) -> None:
-        """Force out any open combined AU packet (zero-cost hint).
-
-        User code normally relies on the OPT timer or a non-consecutive
-        write; tests and latency-critical paths may flush explicitly.
-        """
-        self.proc.node.nic.packetizer.flush()
-
     # ------------------------------------------------------------------
     # Notifications (Section 2.3)
     # ------------------------------------------------------------------
