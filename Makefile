@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo scan-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json record-replay-demo profile-demo clean
+.PHONY: install test test-fast faults bench examples reports trace-demo workload serve-demo explain-demo capacity-json mitigation-demo scan-demo capacity-ab-json capacity-overload-json capacity-consistency-json onesided-demo overload-demo antientropy-demo antientropy-json record-replay-demo profile-demo size clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -99,6 +99,16 @@ profile-demo:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro profile --seed 11 --requests 120 --load 40000
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro record --out profile-stream.json --seed 11 --requests 300 --load 60000
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro diff --stream profile-stream.json --ab onesided_reads=true
+
+# The size figures each change reports: lines of Python under src/ and
+# the field counts of the two config objects (the knobs a run can set).
+size:
+	@echo "src lines: $$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -c "from dataclasses import fields; \
+	from repro.workload import WorkloadSpec; \
+	from repro.hardware.config import MachineConfig; \
+	print('WorkloadSpec fields: %d' % len(fields(WorkloadSpec))); \
+	print('MachineConfig fields: %d' % len(fields(MachineConfig)))"
 
 examples:
 	$(PYTHON) examples/quickstart.py

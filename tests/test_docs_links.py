@@ -10,7 +10,7 @@ Two structural checks over every Markdown file in the repo root and
   against the real argument parser, so a renamed flag or subcommand
   cannot strand a stale example.
 
-Four more checks run documented commands and compare their output
+Six more checks run documented commands and compare their output
 with the blocks the doc shows for them, so those blocks cannot go stale.
 
 These run in the docs CI job (.github/workflows/ci.yml) as well as in
@@ -178,6 +178,17 @@ def test_experiments_scan_block_is_the_commands_output():
     assert printed[:end + 1] == shown
 
 
+#: WORKLOADS.md's capacity sweep example.
+CAPACITY_SWEEP = ("python -m repro capacity --loads "
+                  "10000,40000,80000,160000,320000")
+
+
+def test_workloads_capacity_block_is_the_commands_output():
+    expected = _output_block_after(
+        (REPO_ROOT / "docs" / "WORKLOADS.md").read_text(), CAPACITY_SWEEP)
+    assert _printed(CAPACITY_SWEEP) == expected
+
+
 #: OBSERVABILITY.md's worked ``explain`` example (``make explain-demo``).
 EXPLAIN_DEMO = "python -m repro explain --seed 1 --requests 80"
 
@@ -192,4 +203,20 @@ def test_observability_explain_block_is_the_commands_output():
     printed = _printed(EXPLAIN_DEMO).splitlines()
     end = next(i for i, line in enumerate(printed)
                if line.startswith("measured "))
+    assert printed[:end + 1] == shown
+
+
+#: OBSERVABILITY.md's worked ``trace`` example.
+TRACE_DEMO = "python -m repro trace"
+
+
+def test_observability_trace_block_is_the_commands_output():
+    """The doc shows the command's measured budget, through its
+    ``TOTAL`` line; run here without writing the trace file."""
+    text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    lines = text[text.index("$ %s\n" % TRACE_DEMO):].splitlines()
+    shown = lines[1:lines.index("```")]
+    printed = _printed(TRACE_DEMO + " --out ''").splitlines()
+    end = next(i for i, line in enumerate(printed)
+               if line.startswith("  TOTAL "))
     assert printed[:end + 1] == shown
