@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.libs.collectives import broadcast, broadcast_naive, gather, reduce_int
+from repro.libs.collectives import broadcast, broadcast_naive, gather, reduce, reduce_int
 from repro.libs.nx import VARIANTS, nx_world
 from repro.testbed import make_system
 
@@ -77,6 +77,20 @@ def test_reduce_max_nonzero_root():
     _sys, results = run_world([program] * 4)
     assert results[3] == 21
     assert results[0] is None
+
+
+def test_reduce_combines_buffers_toward_a_shifted_root():
+    def program(nx):
+        buf = nx.proc.space.mmap(3)
+        nx.proc.poke(buf, bytes([1 << nx.mynode()]) * 3)
+        result = yield from reduce(
+            nx, buf, 3, lambda a, b: bytes(x | y for x, y in zip(a, b)),
+            root=2)
+        return result, nx.proc.peek(buf, 3)
+
+    _sys, results = run_world([program] * 4)
+    assert [r for r, _ in results] == [None, None, b"\x0f" * 3, None]
+    assert results[2][1] == b"\x0f" * 3
 
 
 @pytest.mark.parametrize("bcast", [broadcast, broadcast_naive])

@@ -26,6 +26,14 @@ def test_gisum_every_rank_gets_total():
     assert all(r == [1 + 2 + 3 + 4, 400] for r in results)
 
 
+def test_an_empty_global_sum_is_empty_everywhere():
+    def program(nx):
+        result = yield from gisum(nx, [])
+        return result
+
+    assert run_world([program] * 4) == [[], [], [], []]
+
+
 def test_gdsum_doubles():
     def program(nx):
         result = yield from gdsum(nx, [0.5 * (nx.mynode() + 1)])
