@@ -4,7 +4,10 @@ Shape claims checked:
 
 * small messages run ~13 us above the raw hardware limit: AU-2copy at
   4 B is 10-16 us slower one way than a raw AU-1copy transfer;
-* AU-2copy starts up cheaper than DU-1copy (4 B latency);
+* DU-2copy has the lowest latency up to 16 B, and AU-2copy a lower one
+  than DU-1copy at 4 B;
+* AU-2copy is faster than DU-1copy at 2 KB and slower at 4 KB, so their
+  crossover lies between 2 and 4 KB;
 * DU-2copy pays for its staging copy: at 10 KB it has a higher latency
   and a lower bandwidth than DU-1copy;
 * a zero-copy socket is impossible (protection), so no curve reaches
@@ -28,8 +31,17 @@ def test_fig7_sockets(benchmark, save_report):
     overhead = au2.latency_at(4) - raw.one_way_latency_us
     assert 10.0 < overhead < 16.0, overhead
 
-    # AU cheapest start-up; staging copy costs at every size.
+    # Small messages: DU-2copy fastest, AU-2copy ahead of DU-1copy.
+    for size in (4, 8, 16):
+        assert du2.latency_at(size) < min(au2.latency_at(size),
+                                          du1.latency_at(size)), size
     assert au2.latency_at(4) < du1.latency_at(4)
+
+    # The AU-2copy / DU-1copy crossover lies between 2 and 4 KB.
+    assert au2.latency_at(2048) < du1.latency_at(2048)
+    assert au2.latency_at(4096) > du1.latency_at(4096)
+
+    # The staging copy costs at 10 KB.
     assert du2.latency_at(10240) > du1.latency_at(10240)
 
     # Large-message ordering and the protection ceiling.

@@ -495,7 +495,9 @@ class KVClient:
 
         Scatter-gathers over *every* live shard (a prefix's keys are
         hash-distributed): each is sent its leg before any is read, so
-        the shards serve at once.  Merges in key order and truncates to
+        the shards serve at once.  Each shard streams only the keys it
+        is primary for, so every key arrives once, valued as its
+        primary holds it.  Merges in key order and truncates to
         ``limit``.  Always streams over sockets.
         """
         return self._request(wire.OP_SCAN, prefix,
@@ -527,7 +529,7 @@ class KVClient:
                 status = wire.ST_ERROR
             else:
                 sent.append((node, call))
-        merged: Dict[str, bytes] = {}
+        merged: List[Tuple[str, bytes]] = []
         rejected = False
         for node, call in sent:
             records = yield from self._call(
@@ -537,12 +539,10 @@ class KVClient:
             elif records is None:
                 rejected = True
             else:
-                # Replicas return the same keys; first copy wins.
-                for rec_key, rec_value in records:
-                    merged.setdefault(rec_key, rec_value)
+                merged += records
         if rejected:
             return wire.ST_REJECTED, []
-        return status, [(k, merged[k]) for k in sorted(merged)][:limit]
+        return status, sorted(merged)[:limit]
 
     # -------------------------------------------------------- internals
 

@@ -460,10 +460,14 @@ def socket_server_program(service: "KVService", node_id: int):
                             wire.ST_MISS if value is None else wire.ST_OK,
                             value or b""))
                     elif op == wire.OP_SCAN:
-                        # The leg goes out in as few sends as the bound
-                        # allows, the end sentinel riding the last one.
+                        # The leg carries only the records this shard is
+                        # primary for, so every key arrives once; it
+                        # goes out in as few sends as the bound allows,
+                        # the end sentinel riding the last one.
                         staged = b""
                         for rec_key, rec_value in store.scan(key, third):
+                            if service.replicas_for(rec_key)[0] != node_id:
+                                continue
                             yield from proc.compute(
                                 apply_cost(len(rec_value)),
                                 priority=LANE_BULK)

@@ -109,9 +109,13 @@ def reduce_int(nx: NXProcess, value: int, op: Callable[[int, int], int],
     def combine(mine: bytes, theirs: bytes) -> bytes:
         return _INT.pack(op(_INT.unpack(mine)[0], _INT.unpack(theirs)[0]))
 
-    scratch = nx.proc.space.mmap(nx.proc.config.page_size)
-    nx.proc.poke(scratch, _INT.pack(value))
-    result = yield from reduce(nx, scratch, _INT.size, combine, root)
+    space = nx.proc.space
+    scratch = space.mmap(_INT.size)
+    try:
+        nx.proc.poke(scratch, _INT.pack(value))
+        result = yield from reduce(nx, scratch, _INT.size, combine, root)
+    finally:
+        space.unmap(scratch, _INT.size)
     return None if result is None else _INT.unpack(result)[0]
 
 
@@ -123,12 +127,14 @@ def gather(nx: NXProcess, vaddr: int, nbytes: int, root: int = 0):
         return None
     pieces: List[Optional[bytes]] = [None] * nx.numnodes()
     pieces[root] = nx.proc.peek(vaddr, nbytes)
-    scratch = nx.proc.space.mmap(
-        -(-nbytes // nx.proc.config.page_size) * nx.proc.config.page_size
-    )
-    for peer in range(nx.numnodes()):
-        if peer == root:
-            continue
-        yield from nx.crecv(_GATHER_TYPE + peer, scratch, nbytes)
-        pieces[peer] = nx.proc.peek(scratch, nbytes)
+    space = nx.proc.space
+    scratch = space.mmap(nbytes)
+    try:
+        for peer in range(nx.numnodes()):
+            if peer == root:
+                continue
+            yield from nx.crecv(_GATHER_TYPE + peer, scratch, nbytes)
+            pieces[peer] = nx.proc.peek(scratch, nbytes)
+    finally:
+        space.unmap(scratch, nbytes)
     return pieces

@@ -38,13 +38,18 @@ def _global_op(nx: NXProcess, values: List, fmt: str,
         return layout.pack(*combine(layout.unpack(mine),
                                     layout.unpack(theirs)))
 
-    buf = nx.proc.space.mmap(max(layout.size, 1))
-    nx.proc.poke(buf, layout.pack(*values))
-    yield from collectives.reduce(nx, buf, layout.size, merge,
-                                  mtype=_GLOBAL_REDUCE)
-    yield from collectives.broadcast(nx, buf, layout.size,
-                                     mtype=_GLOBAL_BCAST)
-    return list(layout.unpack(nx.proc.peek(buf, layout.size)))
+    space = nx.proc.space
+    nbytes = max(layout.size, 1)
+    buf = space.mmap(nbytes)
+    try:
+        nx.proc.poke(buf, layout.pack(*values))
+        yield from collectives.reduce(nx, buf, layout.size, merge,
+                                      mtype=_GLOBAL_REDUCE)
+        yield from collectives.broadcast(nx, buf, layout.size,
+                                         mtype=_GLOBAL_BCAST)
+        return list(layout.unpack(nx.proc.peek(buf, layout.size)))
+    finally:
+        space.unmap(buf, nbytes)
 
 
 def _elementwise(op):
@@ -98,19 +103,23 @@ def gcol(nx: NXProcess, vaddr: int, nbytes: int):
     size = nx.numnodes()
     me = nx.mynode()
     total = nbytes * size
-    page = nx.proc.config.page_size
-    gathered = nx.proc.space.mmap(-(-total // page) * page)
-    if me == 0:
-        nx.proc.poke(gathered, nx.proc.peek(vaddr, nbytes))
-        # Typed receives place each rank's piece directly (out-of-order
-        # consumption is exactly what NX's credit scheme permits).
-        for rank in range(1, size):
-            yield from nx.crecv(
-                _GLOBAL_CONCAT + 1000 + rank, gathered + rank * nbytes, nbytes
-            )
-        for child in range(1, size):
-            yield from nx.csend(_GLOBAL_CONCAT, gathered, total, to=child)
-    else:
-        yield from nx.csend(_GLOBAL_CONCAT + 1000 + me, vaddr, nbytes, to=0)
-        yield from nx.crecv(_GLOBAL_CONCAT, gathered, total)
-    return nx.proc.peek(gathered, total)
+    space = nx.proc.space
+    gathered = space.mmap(total)
+    try:
+        if me == 0:
+            nx.proc.poke(gathered, nx.proc.peek(vaddr, nbytes))
+            # Typed receives place each rank's piece directly
+            # (out-of-order consumption is exactly what NX's credit
+            # scheme permits).
+            for rank in range(1, size):
+                yield from nx.crecv(_GLOBAL_CONCAT + 1000 + rank,
+                                    gathered + rank * nbytes, nbytes)
+            for child in range(1, size):
+                yield from nx.csend(_GLOBAL_CONCAT, gathered, total, to=child)
+        else:
+            yield from nx.csend(_GLOBAL_CONCAT + 1000 + me, vaddr, nbytes,
+                                to=0)
+            yield from nx.crecv(_GLOBAL_CONCAT, gathered, total)
+        return nx.proc.peek(gathered, total)
+    finally:
+        space.unmap(gathered, total)

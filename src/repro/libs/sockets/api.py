@@ -42,9 +42,11 @@ from .circular import RECORD_HEADER_BYTES, RecordRing, pad_word, record_bytes
 __all__ = ["SocketVariant", "SOCKET_VARIANTS", "SocketLib", "ShrimpSocket",
            "Listener", "SocketError", "SocketTimeoutError"]
 
+# The FIN flag sits next to the produced counter, so a blocked receiver
+# polls one 8-byte pair and the peer's consumed acks do not wake it.
 _PRODUCED_OFF = 0x00
+_FIN_OFF = 0x04
 _CONSUMED_OFF = 0x40
-_FIN_OFF = 0x80
 # Hardened-protocol control words (docs/FAULTS.md): record CRC32 and a
 # transmission counter, written before the data so the receiver can
 # validate a record and detect retransmissions.  Unused (never written,
@@ -674,9 +676,9 @@ class ShrimpSocket:
     def _wait_for_data(self):
         """Sleep until the produced counter moves or the FIN flag lands.
 
-        The polled range spans both control words so either write wakes
-        the receiver (a watch on the counter alone would sleep through
-        a close).
+        The polled range is the produced word and the FIN word beside
+        it, so either write wakes the receiver (a watch on the counter
+        alone would sleep through a close) and each check loads 8 bytes.
         """
         if self.hardened:
             # Watch the whole control window (counters + CRC + xmit):

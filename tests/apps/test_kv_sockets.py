@@ -6,12 +6,13 @@ protocol, so the service's variant must be the faster one over that
 whole range (Figure 7's AU-2copy / DU-1copy crossover lies at 2-4 KB).
 Each point op reads its frame with one ``recv``; a frame split across
 two ring records still parses.  A scan sends every shard its leg
-before reading any, each shard stages its leg into as few sends as
-``SCAN_SEND_BYTES`` allows, and the client reads each leg with
-whole-buffer ``recv``s.
+before reading any, each shard streams only the keys it is primary
+for, staged into as few sends as ``SCAN_SEND_BYTES`` allows, and the
+client reads each leg with whole-buffer ``recv``s.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.kv import KVClient, KVService, KvRejectedError, ST_MISS, ST_OK
 from repro.apps.kv import protocol as wire
@@ -42,9 +43,9 @@ def test_the_variant_guard_fails_past_the_crossover():
     assert ours > socket_pingpong("DU-1copy", 4096)
 
 
-def _boot(data=None):
+def _boot(data=None, replicas=1):
     system = make_system()
-    service = KVService(system, replicas=1)
+    service = KVService(system, replicas=replicas)
     service.preload(data or {"k%02d" % i: b"value-%02d" % i
                              for i in range(8)})
     service.start(socket_handlers=1)
@@ -154,14 +155,15 @@ def test_point_op_frame_split_across_two_records_still_parses(monkeypatch,
 SCAN_DATA = {"k%03d" % i: b"v-%03d" % i for i in range(64)}
 
 
-def _scan_client(service, out):
-    """A client program: one scan of eight ``k`` records into ``out``."""
+def _scan_client(service, out, limit=8):
+    """A client program: one scan of ``limit`` ``k`` records into
+    ``out``."""
 
     def program(proc):
         client = KVClient(service, proc, "sockets")
         yield from client.connect()
         out["client"] = client
-        out["scan"] = yield from client.scan("k", 8)
+        out["scan"] = yield from client.scan("k", limit)
         yield from client.shutdown()
 
     return program
@@ -214,6 +216,42 @@ def test_a_scan_makes_one_server_send_per_leg_of_small_records(monkeypatch):
     assert len(client) == 8
     assert len(server) == 4
     assert max(server) <= wire.SCAN_SEND_BYTES
+
+
+@given(keys=st.sets(st.tuples(st.sampled_from("jk"), st.integers(0, 99)),
+                   min_size=1, max_size=48),
+       replicas=st.integers(1, 4), limit=st.integers(1, 16))
+@settings(max_examples=30, deadline=None)
+def test_a_scan_answers_the_first_keys_and_ships_each_key_once(
+        keys, replicas, limit):
+    """Whatever the keys and the replica count, a scan answers exactly
+    the first ``limit`` preloaded ``k`` keys with their values, and the
+    shards' sends carry each key once: a shard streams only the keys it
+    is primary for."""
+    data = {"%s%02d" % key: ("value-%s%02d" % key).encode() for key in keys}
+    streams = {}
+    real_send = ShrimpSocket.send
+
+    def recorded(sock, vaddr, nbytes):
+        streams[sock.proc] = (streams.get(sock.proc, b"")
+                              + sock.proc.peek(vaddr, nbytes))
+        return (yield from real_send(sock, vaddr, nbytes))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShrimpSocket, "send", recorded)
+        system, service = _boot(data, replicas)
+        out = {}
+        _drive(system, service, 0, _scan_client(service, out, limit))
+    first = sorted(key for key in data if key.startswith("k"))[:limit]
+    assert out["scan"] == (ST_OK, [(key, data[key]) for key in first])
+    shipped = []
+    for proc, stream in streams.items():
+        if proc is out["client"].proc:
+            continue
+        found, sentinel, used = wire.parse_scan_records(stream)
+        assert (sentinel, used) == (wire.SCAN_END, len(stream))
+        shipped += [key for key, _value in found]
+    assert len(shipped) == len(set(shipped))
 
 
 def test_a_shed_leg_drains_the_others_before_the_next_op(monkeypatch):

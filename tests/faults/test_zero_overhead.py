@@ -42,7 +42,7 @@ def test_nx_pingpong_golden():
 
 
 def test_socket_pingpong_golden():
-    assert socket_pingpong("DU-1copy", 256) == 50.688927223720064
+    assert socket_pingpong("DU-1copy", 256) == 49.20092722372006
 
 
 def test_vrpc_pingpong_golden():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware.config import MachineConfig
+from repro.libs.collectives import gather, reduce_int
 from repro.libs.nx import VARIANTS, nx_world
 from repro.libs.nx.globals import gcol, gdhigh, gdlow, gdsum, gihigh, gilow, gisum
 from repro.testbed import make_system
@@ -91,3 +92,22 @@ def test_negative_values_and_large_ints():
 
     results = run_world([program] * 4)
     assert all(r == [-(1 << 42), 1 << 42] for r in results)
+
+
+def test_global_ops_leave_the_page_table_as_they_found_it():
+    """Each call maps a scratch page and unmaps it on the way out, so
+    repeated global ops map nothing that outlives them."""
+    def program(nx):
+        table = nx.proc.space.page_table
+        buf = nx.proc.space.mmap(PAGE)
+        before = len(table)
+        for _ in range(10):
+            yield from gisum(nx, [nx.mynode()])
+            yield from gdsum(nx, [0.5])
+            yield from reduce_int(nx, nx.mynode(), max)
+            yield from gcol(nx, buf, 8)
+            yield from gather(nx, buf, 8)
+        return before, len(table)
+
+    for before, after in run_world([program] * 4):
+        assert after == before

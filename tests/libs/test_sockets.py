@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.config import CacheMode
 from repro.libs.sockets import SOCKET_VARIANTS, RecordRing, SocketError, SocketLib
 from repro.libs.sockets.circular import record_bytes
 from repro.testbed import make_system
@@ -294,3 +295,53 @@ def test_connect_to_nobody_blocks_forever_is_not_tested_but_two_clients_work():
     c2 = system.spawn(2, client)
     system.run_processes([s, c1, c2])
     assert results["server"] == 8
+
+
+def _blocked_recv(client_consumes):
+    """The server sends a record, then blocks in ``recv`` until the
+    client's send lands 200 us later; meanwhile the client reads the
+    server's record (so its consumed-counter store lands on the server's
+    control page) or leaves it unread.  Returns the server's poll checks
+    and ``cpu.poll`` spans during that ``recv``, and the machine config."""
+    system = make_system()
+    tracer = system.machine.tracer
+    tracer.enabled = True
+
+    def client_body(proc, sock):
+        buf = proc.space.mmap(PAGE)
+        yield from proc.compute(100.0)
+        if client_consumes:
+            yield from sock.recv(buf, PAGE)
+        yield from proc.compute(100.0)
+        yield from sock.send(buf, 4)
+        yield from sock.close()
+
+    def server_body(proc, sock):
+        buf = proc.space.mmap(PAGE)
+        yield from sock.send(buf, 4)
+        checks, start = proc.poll_checks, proc.sim.now
+        assert (yield from sock.recv(buf, PAGE)) == 4
+        spans = [span for span in tracer.spans
+                 if span.category == "cpu.poll" and span.start >= start
+                 and span.track == proc.trace_track]
+        return proc.poll_checks - checks, spans
+
+    checks, spans = echo_pair(system, "AU-2copy", client_body,
+                              server_body)["server"]
+    return checks, spans, system.config
+
+
+def test_a_consumed_ack_does_not_wake_a_blocked_receiver():
+    acked, _, _ = _blocked_recv(client_consumes=True)
+    quiet, _, _ = _blocked_recv(client_consumes=False)
+    assert acked == quiet
+
+
+def test_a_blocked_receivers_poll_check_loads_the_produced_and_fin_pair():
+    checks, spans, config = _blocked_recv(client_consumes=True)
+    cost = (config.read_cost(CacheMode.WRITE_THROUGH, 8)
+            + config.costs.vmmc_poll_check)
+    assert len(spans) == checks > 0
+    assert all(span.data["bytes"] == 8 for span in spans)
+    assert all(span.duration() == pytest.approx(cost, abs=1e-9)
+               for span in spans)
